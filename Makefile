@@ -25,11 +25,15 @@ verify:
 		else echo "staticcheck not installed; skipping"; fi
 	$(GO) test ./...
 	$(GO) test -race ./internal/runner/... ./internal/resilience/... \
-	    ./internal/ckpt/... ./internal/obs/... ./internal/search/... \
+	    ./internal/store/... ./internal/simcache/... ./internal/ckpt/... \
+	    ./internal/obs/... ./internal/search/... \
 	    ./internal/policy/... ./internal/dsweep/...
+	$(GO) test -race -run 'TestEnv' ./internal/experiments/...
 
-# race runs the short test suite under the race detector (the grid builder
-# and profiler are the only concurrent paths).
+# race runs the short test suite under the race detector. Concurrency is
+# everywhere simulations fan out on the shared pool: grid builds,
+# profiling, the adaptive search, EvalWorkload's evaluation runs, the
+# store's shared reads and serialized writes, and the distributed sweep.
 race:
 	$(GO) test -race -short ./...
 

@@ -15,6 +15,7 @@ package ebm_test
 import (
 	"context"
 	"io"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -45,8 +46,11 @@ func env(b *testing.B) *experiments.Env {
 	b.Helper()
 	benchEnvOnce.Do(func() {
 		benchEnv, benchEnvErr = experiments.NewEnv(nil, experiments.Options{
-			Config:       config.Default(),
-			ProfileCache: "profiles_bench.json",
+			Config: config.Default(),
+			// A result cache outside the repo: repeated -bench runs
+			// replay the alone profiles (and every other cached run)
+			// instead of re-simulating them.
+			SimCache:     filepath.Join(os.TempDir(), "ebm-bench-simcache"),
 			GridCycles:   40_000,
 			GridWarmup:   8_000,
 			EvalCycles:   100_000,

@@ -31,6 +31,7 @@ import (
 	"ebm/internal/runner"
 	"ebm/internal/search"
 	"ebm/internal/simcache"
+	"ebm/internal/store"
 )
 
 func chaosApps(t *testing.T) []kernel.Params {
@@ -130,12 +131,9 @@ func TestChaosGridBuildSurvivesFaultsAndResumes(t *testing.T) {
 	}
 
 	// Act 1: cache and checkpoint faults plus one injected task panic.
-	oldWarnf := simcache.Warnf
-	simcache.Warnf = func(string, ...any) {} // degradation warnings are expected noise here
-	t.Cleanup(func() { simcache.Warnf = oldWarnf })
-	oldCkptWarnf := ckpt.Warnf
-	ckpt.Warnf = func(string, ...any) {}
-	t.Cleanup(func() { ckpt.Warnf = oldCkptWarnf })
+	oldWarnf := store.Warnf
+	store.Warnf = func(string, ...any) {} // degradation warnings are expected noise here
+	t.Cleanup(func() { store.Warnf = oldWarnf })
 
 	cache1, err := simcache.Open(dir)
 	if err != nil {

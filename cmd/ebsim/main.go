@@ -35,13 +35,15 @@
 // of the run (inspect with `go tool pprof`); see DESIGN.md's Performance
 // section for the benchmark workflow.
 //
-// -simcache DIR persists simulation results content-addressed by their
-// full configuration; a repeated invocation with identical flags replays
-// bit-identically from disk. Runs with -trace/-chrometrace/-listen bypass
-// the cache (they need the live event stream). -ckpt persists engine
-// snapshots under -ckpt-dir and forks uncached runs from the deepest
-// snapshot sharing their deterministic prefix (so re-running with a longer
-// -cycles only simulates the extension); -ckpt-max-bytes caps the store.
+// -simcache DIR (default ./simcache; empty disables) persists simulation
+// results content-addressed by their full configuration, the alone runs
+// behind the profiles included; a repeated invocation with identical
+// flags replays bit-identically from disk. Runs with
+// -trace/-chrometrace/-listen bypass the cache (they need the live event
+// stream). -ckpt persists engine snapshots under -ckpt-dir and forks
+// uncached runs from the deepest snapshot sharing their deterministic
+// prefix (so re-running with a longer -cycles only simulates the
+// extension); -ckpt-max-bytes caps the store.
 // Under -chaos the injector's faults also hit checkpoint reads and writes,
 // which degrade to cold execution, never wrong results.
 //
@@ -94,8 +96,7 @@ func run(ctx context.Context) error {
 		cycles    = fs.Uint64("cycles", 300_000, "total simulated core cycles")
 		warmup    = fs.Uint64("warmup", 10_000, "warmup cycles excluded from metrics")
 		window    = fs.Uint64("window", 2_500, "sampling window in cycles")
-		cache     = fs.String("cache", "profiles.json", "alone-profile cache (empty disables)")
-		simc      = fs.String("simcache", "", "simulation-result cache directory (empty disables)")
+		simc      = fs.String("simcache", "simcache", "simulation-result cache directory (empty disables)")
 		ckptOn    = fs.Bool("ckpt", false, "fork uncached runs from prefix checkpoints")
 		ckptDir   = fs.String("ckpt-dir", "ckpt", "prefix-checkpoint store directory (with -ckpt)")
 		ckptMax   = fs.Int64("ckpt-max-bytes", 0, "checkpoint store byte cap, oldest evicted first (0 = unbounded)")
@@ -282,14 +283,10 @@ func run(ctx context.Context) error {
 		fmt.Fprintf(os.Stderr, "ebsim: using %d cores for an equal %d-way split\n",
 			cfg.NumCores, len(wl.Apps))
 	}
-	profOpts := profile.Options{Config: cfg, CoresAlone: cfg.NumCores / len(wl.Apps), Cache: rcache, Mon: mon}
-	cachePath := *cache
-	if len(wl.Apps) != 2 && cachePath != "" {
-		// The default cache holds half-machine profiles; keep other
-		// shares in their own file.
-		cachePath = fmt.Sprintf("profiles_%dapp.json", len(wl.Apps))
-	}
-	suite, err := profile.LoadOrProfile(ctx, cachePath, kernel.All(), profOpts)
+	// The alone core share is part of every alone run's cache key, so
+	// profiles for different shares never collide in the result cache.
+	profOpts := profile.Options{Config: cfg, CoresAlone: cfg.NumCores / len(wl.Apps), Cache: rcache}
+	suite, err := profile.ProfileSuite(ctx, kernel.All(), profOpts)
 	if err != nil {
 		return fmt.Errorf("profiling: %w", err)
 	}

@@ -113,7 +113,6 @@ func run(ctx context.Context) error {
 				"finds the same picks in a fraction of the engine work, skips surface printing)")
 		cycles   = fs.Uint64("cycles", 120_000, "cycles per combination")
 		warmup   = fs.Uint64("warmup", 20_000, "warmup cycles")
-		cache    = fs.String("cache", "profiles.json", "alone-profile cache (empty disables)")
 		simc     = fs.String("simcache", "simcache", "simulation-result cache directory (empty disables)")
 		ckptOn   = fs.Bool("ckpt", false, "fork uncached simulations from prefix checkpoints (sub-linear cold sweeps)")
 		ckptDir  = fs.String("ckpt-dir", "ckpt", "prefix-checkpoint store directory (with -ckpt)")
@@ -417,8 +416,8 @@ func run(ctx context.Context) error {
 		}
 	}
 
-	suite, err := profile.LoadOrProfile(ctx, *cache, kernel.All(), profile.Options{
-		Config: cfg, Runner: pool, Cache: rcache, Ckpt: store, Mon: mon,
+	suite, err := profile.ProfileSuite(ctx, kernel.All(), profile.Options{
+		Config: cfg, Runner: pool, Cache: rcache, Ckpt: store,
 	})
 	if err != nil {
 		if ctx.Err() != nil {

@@ -35,6 +35,7 @@ import (
 	"ebm/internal/runner"
 	"ebm/internal/search"
 	"ebm/internal/simcache"
+	"ebm/internal/store"
 )
 
 func dsweepChaosCells(t *testing.T) []dsweep.Cell {
@@ -82,9 +83,9 @@ func TestDsweepChaosRecoversBitIdentical(t *testing.T) {
 	stateDir := t.TempDir()  // the coordinator's assignment checkpoint
 	statePath := filepath.Join(stateDir, "dsweep-state.json")
 
-	oldWarnf := simcache.Warnf
-	simcache.Warnf = func(string, ...any) {} // injected write faults are expected noise
-	t.Cleanup(func() { simcache.Warnf = oldWarnf })
+	oldWarnf := store.Warnf
+	store.Warnf = func(string, ...any) {} // injected write faults are expected noise
+	t.Cleanup(func() { store.Warnf = oldWarnf })
 
 	// Reference: an undisturbed single-process build in its own cache.
 	refPool := runner.New(4)

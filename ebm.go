@@ -226,11 +226,6 @@ func Profile(apps []App, opts ProfileOptions) (*ProfileSuite, error) {
 	return profile.ProfileSuite(context.Background(), apps, opts)
 }
 
-// ProfileCached is Profile with a JSON cache at path ("" disables).
-func ProfileCached(path string, apps []App, opts ProfileOptions) (*ProfileSuite, error) {
-	return profile.LoadOrProfile(context.Background(), path, apps, opts)
-}
-
 // Grid holds one Result per TLP combination of a workload, powering the
 // exhaustive comparison points (optWS/FI/HS and BF-WS/FI/HS) and offline
 // PBS.

@@ -17,9 +17,11 @@
 // that fails to restore falls back to a fresh (cold) simulator; a
 // snapshot that cannot be taken disables further writes for that run;
 // a write that cannot be persisted is retried, then warned and
-// counted. The store mirrors simcache's discipline throughout:
-// nil-safe methods, atomic temp+rename writes, fault-injection hooks,
-// and a retry policy with an incident monitor.
+// counted. The checkpoints live in an internal/store directory, the
+// same store under simcache, which owns the atomic writes, the write
+// rule, the read ladder, the byte cap and the counters; this package is
+// the key scheme over it: PrefixKey, the envelope codec, the write
+// cadence and Execute.
 package ckpt
 
 import (
@@ -27,29 +29,18 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"ebm/internal/faultinject"
 	"ebm/internal/obs"
 	"ebm/internal/resilience"
-	"ebm/internal/runner"
 	"ebm/internal/sim"
 	"ebm/internal/simcache"
 	"ebm/internal/spec"
+	"ebm/internal/store"
 )
-
-// Warnf surfaces non-fatal checkpoint degradation (a snapshot that
-// could not be persisted). Stderr by default; replaceable for tests
-// and embedding.
-var Warnf = func(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-}
 
 // SchemaVersion invalidates every existing checkpoint when bumped.
 // Bump it when the envelope layout or the key derivation changes.
@@ -144,57 +135,72 @@ func decodeEnvelope(b []byte) (key string, window uint64, payload []byte, err er
 	return key, window, rest, nil
 }
 
-// Stats is a point-in-time snapshot of one store handle's traffic.
-type Stats struct {
-	Hits         uint64 // lookups that found a usable checkpoint
-	Misses       uint64 // lookups with no usable checkpoint
-	Writes       uint64 // checkpoints persisted
-	Forks        uint64 // runs started from a restored checkpoint
-	Corrupt      uint64 // unreadable/torn/foreign entries skipped
-	WriteFails   uint64 // persist attempts that failed after retries
-	Evictions    uint64 // files removed to honour the byte cap
-	BytesWritten uint64 // envelope bytes persisted
+// blobName is the file a (prefix, window) checkpoint lives in.
+func blobName(key string, window uint64) string {
+	return fmt.Sprintf("%s-w%06d%s", key, window, ext)
 }
 
-// Store is a directory of checkpoint files, one per (prefix, window).
-// All methods are safe for concurrent use and nil-safe: a nil *Store
-// misses every lookup and drops every write, so call sites need no
-// "is checkpointing on?" branches.
+const ext = ".ckpt"
+
+// snapshot is a decoded checkpoint: the window it was taken at and the
+// engine snapshot payload.
+type snapshot struct {
+	window  uint64
+	payload []byte
+}
+
+// decodeSnapshot is the store codec: a checkpoint is intact when its
+// envelope checks out and names the key and window of its file.
+func decodeSnapshot(name string, b []byte) (snapshot, error) {
+	key, window, payload, err := decodeEnvelope(b)
+	if err != nil {
+		return snapshot{}, err
+	}
+	if blobName(key, window) != name {
+		return snapshot{}, fmt.Errorf("ckpt: %s holds %s", name, blobName(key, window))
+	}
+	return snapshot{window, payload}, nil
+}
+
+// Stats is a point-in-time snapshot of one store handle's traffic.
+type Stats struct {
+	store.Stats
+	Forks uint64 // runs started from a restored checkpoint
+}
+
+// Store is a directory of checkpoint files, one per (prefix, window),
+// kept in a store.Store. All methods are safe for concurrent use and
+// nil-safe: a nil *Store misses every lookup and drops every write, so
+// call sites need no "is checkpointing on?" branches.
 type Store struct {
-	dir      string
-	every    uint64 // write cadence in windows; 0 = read-only
-	maxBytes int64  // on-disk budget; 0 = unbounded
+	blobs *store.Store[snapshot]
+	every uint64 // write cadence in windows; 0 = read-only
+	forks obs.Counter
+}
 
-	hits, misses, writes, forks, corrupt, writeFails, evictions, bytesWritten atomic.Uint64
-
-	// Optional observability handles (nil-safe), set via Instrument.
-	hitC, missC, forkC, evictC, bytesC *obs.Counter
-
-	// Resilience wiring, set before use via SetHooks / SetResilience.
-	hooks faultinject.Hooks
-	retry resilience.Policy
-	mon   *resilience.Monitor
-
-	group runner.Group // concurrent forks from one prefix share each read
-	mu    sync.Mutex   // serializes write+evict so the cap is an invariant
+// store returns the backing store, nil for a nil handle (whose methods
+// are then the store's nil no-ops).
+func (st *Store) store() *store.Store[snapshot] {
+	if st == nil {
+		return nil
+	}
+	return st.blobs
 }
 
 // Open returns a store rooted at dir, creating it if needed, with the
 // default write cadence.
 func Open(dir string) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("ckpt: %w", err)
+	blobs, err := store.Open(dir, store.Scheme[snapshot]{
+		Name: "ckpt", Fault: "ckpt", Ext: ext, Decode: decodeSnapshot,
+	})
+	if err != nil {
+		return nil, err
 	}
-	return &Store{dir: dir, every: DefaultEvery}, nil
+	return &Store{blobs: blobs, every: DefaultEvery}, nil
 }
 
 // Dir returns the store root ("" for a nil store).
-func (st *Store) Dir() string {
-	if st == nil {
-		return ""
-	}
-	return st.dir
-}
+func (st *Store) Dir() string { return st.store().Dir() }
 
 // SetEvery sets the write cadence: a checkpoint every n sampling
 // windows (plus the run-end window). n == 0 makes the store read-only:
@@ -210,31 +216,17 @@ func (st *Store) SetEvery(n uint64) {
 // SetMaxBytes caps the store's on-disk footprint. After every write the
 // oldest files (by modification time) are evicted until the total fits;
 // 0 means unbounded. Call before submitting work.
-func (st *Store) SetMaxBytes(n int64) {
-	if st == nil {
-		return
-	}
-	st.maxBytes = n
-}
+func (st *Store) SetMaxBytes(n int64) { st.store().SetMaxBytes(n) }
 
 // SetHooks installs the fault-injection seam (chaos tests, ebsim
 // -chaos). Call before submitting work; nil is the production default.
-func (st *Store) SetHooks(h faultinject.Hooks) {
-	if st == nil {
-		return
-	}
-	st.hooks = h
-}
+func (st *Store) SetHooks(h faultinject.Hooks) { st.store().SetHooks(h) }
 
 // SetResilience installs the persist retry policy and the incident
 // monitor. The zero Policy retries with resilience.DefaultPolicy; a nil
 // monitor discards incidents. Call before submitting work.
 func (st *Store) SetResilience(p resilience.Policy, mon *resilience.Monitor) {
-	if st == nil {
-		return
-	}
-	st.retry = p
-	st.mon = mon
+	st.store().SetResilience(p, mon)
 }
 
 // Stats returns the handle's traffic counters.
@@ -242,134 +234,35 @@ func (st *Store) Stats() Stats {
 	if st == nil {
 		return Stats{}
 	}
-	return Stats{
-		Hits:         st.hits.Load(),
-		Misses:       st.misses.Load(),
-		Writes:       st.writes.Load(),
-		Forks:        st.forks.Load(),
-		Corrupt:      st.corrupt.Load(),
-		WriteFails:   st.writeFails.Load(),
-		Evictions:    st.evictions.Load(),
-		BytesWritten: st.bytesWritten.Load(),
-	}
+	return Stats{Stats: st.blobs.Stats(), Forks: st.forks.Value()}
 }
 
-// Instrument mirrors the store's traffic into an obs registry:
-// ebm_ckpt_hits_total, ebm_ckpt_misses_total, ebm_ckpt_forks_total,
-// ebm_ckpt_write_evictions_total, and ebm_ckpt_bytes_written_total.
+// Instrument registers the store's traffic counters with an obs
+// registry: the store's ebm_ckpt_*_total set (hits, misses, writes,
+// corrupt, write_fails, write_evictions, bytes_written) plus
+// ebm_ckpt_forks_total.
 func (st *Store) Instrument(reg *obs.Registry) {
 	if st == nil || reg == nil {
 		return
 	}
-	st.hitC = reg.Counter("ebm_ckpt_hits_total", "runs served a fork point from the checkpoint store")
-	st.missC = reg.Counter("ebm_ckpt_misses_total", "checkpoint lookups that fell through to cold execution")
-	st.forkC = reg.Counter("ebm_ckpt_forks_total", "simulations forked from a restored checkpoint")
-	st.evictC = reg.Counter("ebm_ckpt_write_evictions_total", "checkpoint files evicted to honour the byte cap")
-	st.bytesC = reg.Counter("ebm_ckpt_bytes_written_total", "checkpoint envelope bytes persisted")
-	st.hitC.Set(st.hits.Load())
-	st.missC.Set(st.misses.Load())
-	st.forkC.Set(st.forks.Load())
-	st.evictC.Set(st.evictions.Load())
-	st.bytesC.Set(st.bytesWritten.Load())
+	st.blobs.Instrument(reg)
+	reg.RegisterCounter("ebm_ckpt_forks_total", "simulations forked from a restored checkpoint", &st.forks)
 }
 
 // Path returns the checkpoint file for a (prefix, window) pair.
 func (st *Store) Path(key string, window uint64) string {
-	return filepath.Join(st.dir, fmt.Sprintf("%s-w%06d.ckpt", key, window))
+	return st.store().Path(blobName(key, window))
 }
 
-// Put persists a snapshot payload under (key, window): wrapped in the
-// checksummed envelope, written to a temp file, then atomically renamed
-// into place. Writes are put-if-absent — checkpoints are deterministic
-// functions of their key, so an existing file is already correct — and
-// each write is followed by the eviction pass, so the byte cap holds as
-// an invariant on return (the just-written file itself is evictable
-// when the cap demands it).
+// Put persists a snapshot payload under (key, window), wrapped in the
+// checksummed envelope, by the store's write rule: put-if-absent —
+// checkpoints are deterministic functions of their key, so an intact
+// file is already correct — through a temp file and an atomic rename,
+// followed by the eviction pass, so the byte cap holds as an invariant
+// on return (the just-written file itself is evictable when the cap
+// demands it).
 func (st *Store) Put(key string, window uint64, payload []byte) error {
-	if st == nil {
-		return nil
-	}
-	name := st.Path(key, window)
-	if h := st.hooks; h != nil {
-		if err := h.CacheWrite(filepath.Base(name)); err != nil {
-			return fmt.Errorf("ckpt: write %s: %w", filepath.Base(name), err)
-		}
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if _, err := os.Stat(name); err == nil {
-		return nil
-	}
-	b := encodeEnvelope(key, window, payload)
-	f, err := os.CreateTemp(st.dir, filepath.Base(name)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("ckpt: %w", err)
-	}
-	tmp := f.Name()
-	if _, err := f.Write(b); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("ckpt: write %s: %w", filepath.Base(name), err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("ckpt: close %s: %w", filepath.Base(name), err)
-	}
-	if err := os.Rename(tmp, name); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("ckpt: rename %s: %w", filepath.Base(name), err)
-	}
-	st.writes.Add(1)
-	st.bytesWritten.Add(uint64(len(b)))
-	st.bytesC.Add(uint64(len(b)))
-	st.evictLocked()
-	return nil
-}
-
-// evictLocked removes the oldest checkpoint files until the store fits
-// its byte budget. Caller holds st.mu.
-func (st *Store) evictLocked() {
-	if st.maxBytes <= 0 {
-		return
-	}
-	ents, err := os.ReadDir(st.dir)
-	if err != nil {
-		return
-	}
-	type file struct {
-		name string
-		size int64
-		mod  int64
-	}
-	var files []file
-	var total int64
-	for _, e := range ents {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".ckpt") {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		files = append(files, file{e.Name(), info.Size(), info.ModTime().UnixNano()})
-		total += info.Size()
-	}
-	sort.Slice(files, func(i, j int) bool {
-		if files[i].mod != files[j].mod {
-			return files[i].mod < files[j].mod
-		}
-		return files[i].name < files[j].name // deterministic among same-instant writes
-	})
-	for _, f := range files {
-		if total <= st.maxBytes {
-			return
-		}
-		if os.Remove(filepath.Join(st.dir, f.name)) == nil {
-			total -= f.size
-			st.evictions.Add(1)
-			st.evictC.Inc()
-		}
-	}
+	return st.store().Put(blobName(key, window), encodeEnvelope(key, window, payload))
 }
 
 // Best returns the payload of the deepest usable checkpoint for key at
@@ -394,65 +287,26 @@ func (st *Store) best(ctx context.Context, key string, maxWindow uint64) (payloa
 		window uint64
 	}
 	var cands []cand
-	ents, err := os.ReadDir(st.dir)
-	if err == nil {
-		prefix := key + "-w"
-		for _, e := range ents {
-			name := e.Name()
-			if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, ".ckpt") {
-				continue
-			}
-			w, err := strconv.ParseUint(strings.TrimSuffix(name[len(prefix):], ".ckpt"), 10, 64)
-			if err != nil || w > maxWindow {
-				continue
-			}
-			cands = append(cands, cand{name, w})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].window > cands[j].window })
-	for _, c := range cands {
-		if h := st.hooks; h != nil {
-			if err := h.CacheRead(c.name); err != nil {
-				obs.TrailFrom(ctx).AddFault("ckpt-read")
-				st.corrupt.Add(1)
-				continue
-			}
-		}
-		full := filepath.Join(st.dir, c.name)
-		v, _, err := st.group.Do("read:"+c.name, func() (any, error) {
-			return os.ReadFile(full)
-		})
-		if err != nil {
-			continue // raced with eviction: not corruption, just gone
-		}
-		gotKey, gotWindow, p, err := decodeEnvelope(v.([]byte))
-		if err != nil || gotKey != key || gotWindow != c.window {
-			st.corrupt.Add(1)
+	prefix := key + "-w"
+	for _, name := range st.blobs.Names(prefix) {
+		w, err := strconv.ParseUint(strings.TrimSuffix(name[len(prefix):], ext), 10, 64)
+		if err != nil || w > maxWindow {
 			continue
 		}
-		st.hits.Add(1)
-		st.hitC.Inc()
-		sp.Annotate("window", strconv.FormatUint(c.window, 10))
-		return p, c.window, true
+		cands = append(cands, cand{name, w})
 	}
-	sp.Annotate("miss", "true")
-	st.misses.Add(1)
-	st.missC.Inc()
-	return nil, 0, false
-}
-
-// persist writes a snapshot through the retry policy; exhausting the
-// retries degrades to an unpersisted checkpoint with a surfaced warning
-// and a counted write failure — the simulation itself is untouched.
-func (st *Store) persist(ctx context.Context, key string, window uint64, payload []byte) {
-	err := st.retry.Retry(ctx, fmt.Sprintf("ckpt:%s:w%d", key, window), st.mon, func() error {
-		return st.Put(key, window, payload)
-	})
-	if err != nil {
-		obs.TrailFrom(ctx).AddFault("ckpt-write")
-		st.writeFails.Add(1)
-		Warnf("ckpt: warning: checkpoint %s w%d not persisted: %v", key, window, err)
+	sort.Slice(cands, func(i, j int) bool { return cands[i].window > cands[j].window })
+	names := make([]string, len(cands))
+	for i, c := range cands {
+		names[i] = c.name
 	}
+	snap, ok := st.blobs.Get(ctx, names...)
+	if !ok {
+		sp.Annotate("miss", "true")
+		return nil, 0, false
+	}
+	sp.Annotate("window", strconv.FormatUint(snap.window, 10))
+	return snap.payload, snap.window, true
 }
 
 // sink builds the engine's CkptSink for one run: snapshot at every
@@ -466,14 +320,16 @@ func (st *Store) sink(ctx context.Context, key string, totalWindows, every uint6
 		if window%every != 0 && window != totalWindows {
 			return nil
 		}
-		if _, err := os.Stat(st.Path(key, window)); err == nil {
+		if st.blobs.Has(blobName(key, window)) {
 			return nil
 		}
 		payload, err := s.SnapshotBytes()
 		if err != nil {
 			return err
 		}
-		st.persist(ctx, key, window, payload)
+		st.blobs.Persist(ctx, blobName(key, window), func() ([]byte, error) {
+			return encodeEnvelope(key, window, payload), nil
+		})
 		return nil
 	}
 }
@@ -542,14 +398,13 @@ func executeCadence(ctx context.Context, st *Store, rs spec.RunSpec, mutate func
 			// from an incompatible engine): the simulator may be half
 			// restored, so rebuild it and run cold.
 			obs.TrailFrom(ctx).AddFault("ckpt-restore")
-			st.corrupt.Add(1)
+			st.blobs.Reject()
 			s, err = sim.New(opts)
 			if err != nil {
 				return sim.Result{}, err
 			}
 		} else {
-			st.forks.Add(1)
-			st.forkC.Inc()
+			st.forks.Inc()
 			obs.TrailFrom(ctx).SetForked(window, SchemaVersion)
 			from = fmt.Sprintf("forked@%d", window)
 		}

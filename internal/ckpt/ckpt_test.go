@@ -17,6 +17,7 @@ import (
 	"ebm/internal/obs"
 	"ebm/internal/resilience"
 	"ebm/internal/spec"
+	"ebm/internal/store"
 	"ebm/internal/workload"
 )
 
@@ -40,9 +41,9 @@ func testSpec(total uint64) spec.RunSpec {
 
 func quietWarnf(t *testing.T) {
 	t.Helper()
-	old := Warnf
-	Warnf = func(string, ...any) {}
-	t.Cleanup(func() { Warnf = old })
+	old := store.Warnf
+	store.Warnf = func(string, ...any) {}
+	t.Cleanup(func() { store.Warnf = old })
 }
 
 func ckptFiles(t *testing.T, dir string) []string {
@@ -250,7 +251,12 @@ func TestRestorePayloadFailureDegradesCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.SetEvery(0) // read-only: keep the poisoned entry the only one
-	if err := (&Store{dir: st.dir}).Put(PrefixKey(rs), 3, []byte("not a snapshot")); err != nil {
+	// A second handle writes it, so st's counters see only the run.
+	poison, err := Open(st.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := poison.Put(PrefixKey(rs), 3, []byte("not a snapshot")); err != nil {
 		t.Fatal(err)
 	}
 	res, err := Execute(ctx, st, rs)

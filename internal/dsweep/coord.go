@@ -13,6 +13,7 @@ import (
 	"ebm/internal/resilience"
 	"ebm/internal/sim"
 	"ebm/internal/simcache"
+	"ebm/internal/store"
 )
 
 // StateSchemaVersion invalidates persisted coordinator checkpoints when
@@ -247,34 +248,9 @@ func (c *Coordinator) saveStateLocked() {
 	if err != nil {
 		return // plain data always marshals
 	}
-	dir, base := splitPath(c.opts.StatePath)
-	f, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
-		simcache.Warnf("dsweep: state checkpoint: %v", err)
-		return
+	if err := store.WriteFile(c.opts.StatePath, b); err != nil {
+		store.Warnf("dsweep: state checkpoint: %v", err)
 	}
-	tmp := f.Name()
-	if _, err := f.Write(b); err == nil {
-		err = f.Close()
-	} else {
-		f.Close()
-	}
-	if err == nil {
-		err = os.Rename(tmp, c.opts.StatePath)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		simcache.Warnf("dsweep: state checkpoint: %v", err)
-	}
-}
-
-func splitPath(p string) (dir, base string) {
-	for i := len(p) - 1; i >= 0; i-- {
-		if os.IsPathSeparator(p[i]) {
-			return p[:i+1], p[i+1:]
-		}
-	}
-	return ".", p
 }
 
 // prewarm completes every pending cell the shared cache already holds:
@@ -465,7 +441,7 @@ func (c *Coordinator) Complete(req CompleteRequest) CompleteReply {
 	// durable at the coordinator even when workers have private disks.
 	if c.opts.Cache != nil {
 		if err := c.opts.Cache.Put(req.Key, req.Result); err != nil {
-			simcache.Warnf("dsweep: persist %s: %v", req.Key, err)
+			store.Warnf("dsweep: persist %s: %v", req.Key, err)
 		}
 	}
 	if req.Record != nil {
@@ -474,7 +450,7 @@ func (c *Coordinator) Complete(req CompleteRequest) CompleteReply {
 			rec.Worker = req.Worker
 		}
 		if err := c.opts.Ledger.Append(rec); err != nil {
-			simcache.Warnf("dsweep: ledger: %v", err)
+			store.Warnf("dsweep: ledger: %v", err)
 		}
 	}
 	c.saveStateLocked()

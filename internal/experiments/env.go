@@ -29,9 +29,6 @@ import (
 type Options struct {
 	Config config.GPU
 
-	// ProfileCache is an optional JSON path caching alone profiles.
-	ProfileCache string
-
 	// GridCycles/GridWarmup are the per-combination run lengths for the
 	// exhaustive searches.
 	GridCycles, GridWarmup uint64
@@ -128,8 +125,9 @@ type Env struct {
 	evalCache map[string]*Eval
 }
 
-// NewEnv profiles the full application suite (or loads the cache) and
-// returns a ready environment. ctx governs the initial profiling and
+// NewEnv profiles the full application suite (replaying the alone runs
+// from the result cache when Options.SimCache holds them) and returns a
+// ready environment. ctx governs the initial profiling and
 // every simulation later submitted through the environment; nil means
 // context.Background().
 func NewEnv(ctx context.Context, opt Options) (*Env, error) {
@@ -146,7 +144,7 @@ func NewEnv(ctx context.Context, opt Options) (*Env, error) {
 		}
 		cache.SetLedger(opt.Ledger)
 	}
-	suite, err := profile.LoadOrProfile(ctx, opt.ProfileCache, kernel.All(), profile.Options{
+	suite, err := profile.ProfileSuite(ctx, kernel.All(), profile.Options{
 		Config:       opt.Config,
 		TotalCycles:  opt.GridCycles,
 		WarmupCycles: opt.GridWarmup,
@@ -501,19 +499,20 @@ func (e *Env) EvalWorkload(w workload.Workload) (*Eval, error) {
 	}
 	type key string
 	comboKey := func(c []int) key { return key(fmt.Sprint(c)) }
+	// Dedupe the combos before spawning: the goroutines write
+	// staticResults under mu, so the claim loop must not touch it.
+	distinct := map[key][]int{}
+	for _, c := range combos {
+		distinct[comboKey(c)] = c
+	}
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
 	)
-	staticResults := map[key]sim.Result{}
-	for _, c := range combos {
-		k := comboKey(c)
-		if _, ok := staticResults[k]; ok {
-			continue
-		}
-		staticResults[k] = sim.Result{} // claim; filled below
-		c := c
+	staticResults := make(map[key]sim.Result, len(distinct))
+	for k, c := range distinct {
+		k, c := k, c
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -221,6 +221,13 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return s.c
 }
 
+// RegisterCounter publishes a counter its owner already keeps under
+// name+labels, so the owner counts once and the registry reads the same
+// value. It replaces whatever counter the series held before.
+func (r *Registry) RegisterCounter(name, help string, c *Counter, labels ...Label) {
+	r.register(name, help, "counter", labels).c = c
+}
+
 // Gauge registers (or finds) a gauge.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	s := r.register(name, help, "gauge", labels)

@@ -32,6 +32,14 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if c3 := r.Counter("ebm_events_total", "events", L("app", "1")); c3 == c {
 		t.Fatal("different labels returned the same counter")
 	}
+
+	// An owner's counter registered directly is the series itself.
+	var owned Counter
+	r.RegisterCounter("ebm_owned_total", "owned", &owned)
+	owned.Add(3)
+	if got := r.Counter("ebm_owned_total", "owned"); got != &owned || got.Value() != 3 {
+		t.Fatalf("registered counter not published: %p %d", got, got.Value())
+	}
 }
 
 func TestNilHandlesAreNoOps(t *testing.T) {

@@ -19,7 +19,6 @@ import (
 	"ebm/internal/config"
 	"ebm/internal/kernel"
 	"ebm/internal/obs"
-	"ebm/internal/resilience"
 	"ebm/internal/runner"
 	"ebm/internal/sim"
 	"ebm/internal/simcache"
@@ -43,17 +42,13 @@ type Options struct {
 	// the process-wide runner.Default().
 	Runner *runner.Runner
 	// Cache, when non-nil, serves alone-runs from the on-disk result
-	// cache and persists fresh ones.
+	// cache and persists fresh ones. It is the only persistence of alone
+	// profiles: a warm ProfileSuite replays every alone-run from it.
 	Cache *simcache.Cache
 	// Ckpt, when non-nil, executes uncached alone-runs through the prefix
 	// checkpoint store, forking each from the deepest snapshot a prior
 	// (possibly shorter or interrupted) run of the same prefix persisted.
 	Ckpt *ckpt.Store
-	// Retry is the backoff policy for suite-cache saves (zero value =
-	// resilience.DefaultPolicy); Mon receives retry incidents (nil
-	// discards them).
-	Retry resilience.Policy
-	Mon   *resilience.Monitor
 }
 
 func (o *Options) fillDefaults() {

@@ -1,12 +1,11 @@
 package profile
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"ebm/internal/config"
 	"ebm/internal/kernel"
+	"ebm/internal/simcache"
 )
 
 func smallOpts() Options {
@@ -114,72 +113,6 @@ func TestSuiteAccessors(t *testing.T) {
 	}
 }
 
-func TestCacheRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "profiles.json")
-	opts := smallOpts()
-	apps := someApps("BLK", "TRD")
-
-	s1, err := LoadOrProfile(nil, path, apps, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("cache not written: %v", err)
-	}
-	s2, err := LoadOrProfile(nil, path, apps, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n, p1 := range s1.Profiles {
-		p2 := s2.Profiles[n]
-		if p2 == nil || p2.BestIPC != p1.BestIPC || p2.BestTLP != p1.BestTLP {
-			t.Fatalf("cache round trip lost %s", n)
-		}
-	}
-}
-
-func TestCacheInvalidatedByConfigChange(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "profiles.json")
-	apps := someApps("BLK")
-	opts := smallOpts()
-	if _, err := LoadOrProfile(nil, path, apps, opts); err != nil {
-		t.Fatal(err)
-	}
-	fp1 := Fingerprint(opts, apps)
-	opts2 := opts
-	opts2.Config.L1MSHRs = 999
-	fp2 := Fingerprint(opts2, apps)
-	if fp1 == fp2 {
-		t.Fatal("fingerprint insensitive to config change")
-	}
-	opts3 := opts
-	opts3.CoresAlone = 1
-	if Fingerprint(opts3, apps) == fp1 {
-		t.Fatal("fingerprint insensitive to the alone core share")
-	}
-	if _, err := Load(path, fp2); err == nil {
-		t.Fatal("stale cache accepted")
-	}
-}
-
-func TestLoadMissingFile(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "nope.json"), "x"); err == nil {
-		t.Fatal("missing file accepted")
-	}
-}
-
-func TestLoadCorruptFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path, "x"); err == nil {
-		t.Fatal("corrupt file accepted")
-	}
-}
-
 func TestAloneRunUsesReducedCores(t *testing.T) {
 	app, _ := kernel.ByName("JPEG")
 	opts := smallOpts()
@@ -190,5 +123,42 @@ func TestAloneRunUsesReducedCores(t *testing.T) {
 	// 2 cores x 2 schedulers: IPC can never exceed 4.
 	if res.Apps[0].IPC > 4.01 {
 		t.Fatalf("alone run IPC %v exceeds the 2-core issue bound", res.Apps[0].IPC)
+	}
+}
+
+// TestProfileSuiteWarmCache: with a result cache attached, a second suite
+// profile replays entirely from disk and produces the identical suite.
+func TestProfileSuiteWarmCache(t *testing.T) {
+	c, err := simcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := smallOpts()
+	opts.Cache = c
+	apps := someApps("BLK", "JPEG")
+	cold, err := ProfileSuite(nil, apps, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Stats().Writes == 0 {
+		t.Fatal("no results persisted")
+	}
+	before := c.Stats()
+	warm, err := ProfileSuite(nil, apps, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := c.Stats()
+	if after.Writes != before.Writes {
+		t.Fatal("warm pass re-simulated")
+	}
+	if after.Hits-before.Hits < uint64(len(apps)*len(opts.Levels)) {
+		t.Fatalf("warm pass hits %d, want ≥ %d", after.Hits-before.Hits, len(apps)*len(opts.Levels))
+	}
+	for name, p := range cold.Profiles {
+		w := warm.Profiles[name]
+		if w == nil || w.BestTLP != p.BestTLP || w.BestIPC != p.BestIPC || w.BestEB != p.BestEB {
+			t.Fatalf("warm profile for %s differs: %+v vs %+v", name, w, p)
+		}
 	}
 }

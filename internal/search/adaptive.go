@@ -47,6 +47,7 @@ import (
 	"ebm/internal/sim"
 	"ebm/internal/simcache"
 	"ebm/internal/spec"
+	"ebm/internal/store"
 )
 
 // AdaptiveOptions configures an adaptive search. The zero value of every
@@ -524,7 +525,7 @@ func (a *adaptive) recordPruned(combo []int, h uint64) {
 		Cycles:      h,
 	}
 	if err := l.Append(rec); err != nil {
-		simcache.Warnf("search: pruned ledger record: %v", err)
+		store.Warnf("search: pruned ledger record: %v", err)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"ebm/internal/resilience"
 	"ebm/internal/runner"
 	"ebm/internal/sim"
+	"ebm/internal/store"
 )
 
 // captureWarnf redirects the degradation warnings into the test and
@@ -23,11 +24,11 @@ import (
 func captureWarnf(t *testing.T) *[]string {
 	t.Helper()
 	var lines []string
-	old := Warnf
-	Warnf = func(format string, args ...any) {
+	old := store.Warnf
+	store.Warnf = func(format string, args ...any) {
 		lines = append(lines, fmt.Sprintf(format, args...))
 	}
-	t.Cleanup(func() { Warnf = old })
+	t.Cleanup(func() { store.Warnf = old })
 	return &lines
 }
 

@@ -19,20 +19,18 @@
 // Invalidation is by key, never by mutation: the key embeds
 // SchemaVersion, which MUST be bumped whenever engine behaviour changes
 // (the same commits that regenerate internal/sim's golden files), and
-// every behavioural knob of the run. Writes go through a temp file and
-// an atomic rename; reads tolerate corruption (a truncated, garbled, or
-// foreign-schema entry is a miss, never an error), so a killed process
-// cannot poison the cache.
+// every behavioural knob of the run. The entries live in an
+// internal/store directory, which owns the write rule, the atomic
+// writes and the counters; reads tolerate corruption (a truncated,
+// garbled, or foreign-schema entry is a miss, never an error), so a
+// killed process cannot poison the cache.
 package simcache
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"ebm/internal/faultinject"
@@ -41,14 +39,8 @@ import (
 	"ebm/internal/runner"
 	"ebm/internal/sim"
 	"ebm/internal/spec"
+	"ebm/internal/store"
 )
-
-// Warnf surfaces non-fatal cache degradation (a computed result that
-// could not be persisted). Stderr by default; replaceable for tests and
-// embedding.
-var Warnf = func(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-}
 
 // SchemaVersion invalidates every existing cache entry when bumped. Bump
 // it whenever the cycle engine's behaviour changes — i.e. in the same
@@ -61,8 +53,8 @@ const SchemaVersion = 2
 
 // HashJSON fingerprints any plain data value as FNV-1a over its JSON
 // encoding, rendered as 16 hex digits. It is the shared helper behind
-// profile fingerprints and run keys; values must marshal cleanly (plain
-// config/parameter structs always do).
+// run keys and checkpoint prefix keys; values must marshal cleanly
+// (plain config/parameter structs always do).
 func HashJSON(v any) string {
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -100,38 +92,44 @@ type entry struct {
 	Result sim.Result `json:"result"`
 }
 
-// Stats is a point-in-time snapshot of one cache handle's traffic.
-type Stats struct {
-	Hits       uint64
-	Misses     uint64
-	Writes     uint64
-	Corrupt    uint64 // misses caused by unreadable/foreign entries
-	WriteFails uint64 // persist attempts that failed (results still served)
+// ext is the entry file extension: an entry lives at <key>.json.
+const ext = ".json"
+
+// decodeEntry is the store codec: an entry is intact when it parses and
+// carries the current schema and the key its file is named for.
+func decodeEntry(name string, b []byte) (sim.Result, error) {
+	var e entry
+	if err := json.Unmarshal(b, &e); err != nil {
+		return sim.Result{}, err
+	}
+	if e.Schema != SchemaVersion || e.Key+ext != name {
+		return sim.Result{}, fmt.Errorf("simcache: %s holds schema %d key %s", name, e.Schema, e.Key)
+	}
+	return e.Result, nil
 }
 
-// Cache is a directory of result entries, one file per key. All methods
-// are safe for concurrent use and nil-safe: a nil *Cache misses every
-// Get and drops every Put, so call sites need no "is caching on?"
-// branches.
+// Stats is a point-in-time snapshot of one cache handle's traffic.
+type Stats = store.Stats
+
+// Cache is a directory of result entries, one file per key, kept in a
+// store.Store. All methods are safe for concurrent use and nil-safe: a
+// nil *Cache misses every Get and drops every Put, so call sites need
+// no "is caching on?" branches.
 type Cache struct {
-	dir string
-
-	hits, misses, writes, corrupt, writeFails atomic.Uint64
-
-	// Optional observability handles (nil-safe), set via Instrument.
-	hitC, missC, writeC, writeFailC *obs.Counter
-
-	// Resilience wiring, set before use via SetHooks / SetResilience:
-	// hooks is the fault-injection seam (nil in production), retry the
-	// persist backoff policy (zero value = resilience.DefaultPolicy),
-	// mon the incident sink (nil discards).
-	hooks faultinject.Hooks
-	retry resilience.Policy
-	mon   *resilience.Monitor
+	blobs *store.Store[sim.Result]
 
 	// ledger, when set via SetLedger, receives one provenance record per
 	// completed RunCached call (nil-safe).
 	ledger *obs.Ledger
+}
+
+// store returns the backing store, nil for a nil cache (whose methods
+// are then the store's nil no-ops).
+func (c *Cache) store() *store.Store[sim.Result] {
+	if c == nil {
+		return nil
+	}
+	return c.blobs
 }
 
 // SetLedger installs the run-provenance ledger: every completed
@@ -157,199 +155,71 @@ func (c *Cache) Ledger() *obs.Ledger {
 
 // SetHooks installs the fault-injection seam (chaos tests, ebsim
 // -chaos). Call before submitting work; nil is the production default.
-func (c *Cache) SetHooks(h faultinject.Hooks) {
-	if c == nil {
-		return
-	}
-	c.hooks = h
-}
+func (c *Cache) SetHooks(h faultinject.Hooks) { c.store().SetHooks(h) }
 
 // SetResilience installs the persist retry policy and the incident
 // monitor. The zero Policy retries with resilience.DefaultPolicy; a nil
 // monitor discards incidents. Call before submitting work.
 func (c *Cache) SetResilience(p resilience.Policy, mon *resilience.Monitor) {
-	if c == nil {
-		return
-	}
-	c.retry = p
-	c.mon = mon
+	c.store().SetResilience(p, mon)
 }
 
 // Open returns a cache rooted at dir, creating it if needed.
 func Open(dir string) (*Cache, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("simcache: %w", err)
+	blobs, err := store.Open(dir, store.Scheme[sim.Result]{
+		Name: "simcache", Fault: "cache", Ext: ext, Decode: decodeEntry,
+	})
+	if err != nil {
+		return nil, err
 	}
-	return &Cache{dir: dir}, nil
+	return &Cache{blobs: blobs}, nil
 }
 
 // Dir returns the cache root ("" for a nil cache).
-func (c *Cache) Dir() string {
-	if c == nil {
-		return ""
-	}
-	return c.dir
-}
+func (c *Cache) Dir() string { return c.store().Dir() }
 
 // Path returns the entry file for a key.
-func (c *Cache) Path(key string) string {
-	return filepath.Join(c.dir, key+".json")
-}
+func (c *Cache) Path(key string) string { return c.store().Path(key + ext) }
 
 // Get returns the cached result for key, if a valid entry exists.
 func (c *Cache) Get(key string) (sim.Result, bool) {
-	return c.get(context.Background(), key, true)
+	return c.store().Get(context.Background(), key+ext)
 }
 
-// get is Get with the miss counting optional (RunCached's inner
-// re-check would otherwise record a second miss for every simulation it
-// runs) and with the caller's context, whose provenance trail records
-// injected read faults.
-func (c *Cache) get(ctx context.Context, key string, countMiss bool) (sim.Result, bool) {
-	if c == nil {
-		return sim.Result{}, false
-	}
-	if h := c.hooks; h != nil {
-		if err := h.CacheRead(key); err != nil {
-			// An unreadable entry degrades exactly like a corrupt one: a
-			// counted miss that falls through to direct execution.
-			obs.TrailFrom(ctx).AddFault("cache-read")
-			c.corrupt.Add(1)
-			if countMiss {
-				c.misses.Add(1)
-				c.missC.Inc()
-			}
-			return sim.Result{}, false
-		}
-	}
-	b, err := os.ReadFile(c.Path(key))
-	if err != nil {
-		if countMiss {
-			c.misses.Add(1)
-			c.missC.Inc()
-		}
-		return sim.Result{}, false
-	}
-	var e entry
-	if err := json.Unmarshal(b, &e); err != nil || e.Schema != SchemaVersion || e.Key != key {
-		c.corrupt.Add(1)
-		if countMiss {
-			c.misses.Add(1)
-			c.missC.Inc()
-		}
-		return sim.Result{}, false
-	}
-	c.hits.Add(1)
-	c.hitC.Inc()
-	return e.Result, true
-}
-
-// Put persists a result under key: marshalled to a temp file in the
-// cache directory, then atomically renamed into place, so concurrent
-// writers and killed processes leave either the old entry or the new
-// one, never a torn file.
+// Put persists a result under key by the store's write rule: a valid
+// entry already on disk is kept, anything else is replaced through a
+// temp file and an atomic rename, so concurrent writers and killed
+// processes leave either the old entry or the new one, never a torn
+// file.
 func (c *Cache) Put(key string, r sim.Result) error {
 	if c == nil {
 		return nil
 	}
-	if h := c.hooks; h != nil {
-		if err := h.CacheWrite(key); err != nil {
-			return fmt.Errorf("simcache: write %s: %w", key, err)
-		}
+	b, err := encodeEntry(key, r)
+	if err != nil {
+		return err
 	}
+	return c.blobs.Put(key+ext, b)
+}
+
+func encodeEntry(key string, r sim.Result) ([]byte, error) {
 	b, err := json.Marshal(entry{Schema: SchemaVersion, Key: key, Result: r})
 	if err != nil {
-		return fmt.Errorf("simcache: marshal %s: %w", key, err)
+		return nil, fmt.Errorf("simcache: marshal %s: %w", key, err)
 	}
-	f, err := os.CreateTemp(c.dir, key+".tmp*")
-	if err != nil {
-		return fmt.Errorf("simcache: %w", err)
-	}
-	tmp := f.Name()
-	if _, err := f.Write(b); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("simcache: write %s: %w", key, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("simcache: close %s: %w", key, err)
-	}
-	if err := os.Rename(tmp, c.Path(key)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("simcache: rename %s: %w", key, err)
-	}
-	c.writes.Add(1)
-	c.writeC.Inc()
-	return nil
+	return b, nil
 }
 
-// Len counts valid-looking entries on disk (files named <key>.json).
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	ents, err := os.ReadDir(c.dir)
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, e := range ents {
-		if !e.IsDir() && filepath.Ext(e.Name()) == ".json" {
-			n++
-		}
-	}
-	return n
-}
+// Len counts the entries on disk.
+func (c *Cache) Len() int { return c.store().Len() }
 
-// Stats returns this handle's hit/miss/write counters.
-func (c *Cache) Stats() Stats {
-	if c == nil {
-		return Stats{}
-	}
-	return Stats{
-		Hits:       c.hits.Load(),
-		Misses:     c.misses.Load(),
-		Writes:     c.writes.Load(),
-		Corrupt:    c.corrupt.Load(),
-		WriteFails: c.writeFails.Load(),
-	}
-}
+// Stats returns this handle's traffic counters.
+func (c *Cache) Stats() Stats { return c.store().Stats() }
 
-// Instrument mirrors the cache's traffic into an obs registry:
-// ebm_simcache_hits_total, ebm_simcache_misses_total,
-// ebm_simcache_writes_total, and ebm_simcache_write_fails_total.
-func (c *Cache) Instrument(reg *obs.Registry) {
-	if c == nil || reg == nil {
-		return
-	}
-	c.hitC = reg.Counter("ebm_simcache_hits_total", "simulation results served from the on-disk cache")
-	c.missC = reg.Counter("ebm_simcache_misses_total", "cache lookups that fell through to simulation")
-	c.writeC = reg.Counter("ebm_simcache_writes_total", "simulation results persisted to the cache")
-	c.writeFailC = reg.Counter("ebm_simcache_write_fails_total", "results computed but not persisted after retries")
-	c.hitC.Set(c.hits.Load())
-	c.missC.Set(c.misses.Load())
-	c.writeC.Set(c.writes.Load())
-	c.writeFailC.Set(c.writeFails.Load())
-}
-
-// persist writes a computed result through the retry policy; exhausting
-// the retries degrades to an uncached (but still returned) result with a
-// surfaced warning and a counted write failure — never an aborted run.
-func (c *Cache) persist(ctx context.Context, key string, r sim.Result) {
-	if c == nil {
-		return
-	}
-	err := c.retry.Retry(ctx, "simcache:"+key, c.mon, func() error {
-		return c.Put(key, r)
-	})
-	if err != nil {
-		obs.TrailFrom(ctx).AddFault("cache-write")
-		c.writeFails.Add(1)
-		c.writeFailC.Inc()
-		Warnf("simcache: warning: result %s computed but not persisted: %v", key, err)
-	}
-}
+// Instrument registers the cache's traffic counters with an obs
+// registry as ebm_simcache_*_total (hits, misses, writes, corrupt,
+// write_fails, write_evictions, bytes_written).
+func (c *Cache) Instrument(reg *obs.Registry) { c.store().Instrument(reg) }
 
 // ledgerRecord folds one completed run into its provenance record.
 func ledgerRecord(rs spec.RunSpec, key string, trail *obs.Trail, res sim.Result, wall time.Duration) obs.RunRecord {
@@ -379,7 +249,7 @@ func ledgerRecord(rs spec.RunSpec, key string, trail *obs.Trail, res sim.Result,
 // boundary), and the retry sleeps all observe it, and a cancelled run is
 // counted on the cache's resilience monitor. Cache write failures are
 // retried per the cache's policy and then deliberately non-fatal (the
-// result is still perfectly good); they surface through Warnf, Stats,
+// result is still perfectly good); they surface through store.Warnf, Stats,
 // and the instrumented counters instead.
 func RunCached(ctx context.Context, c *Cache, r *runner.Runner, pri int, rs spec.RunSpec, run func(context.Context) (sim.Result, error)) (sim.Result, error) {
 	if ctx == nil {
@@ -410,7 +280,7 @@ func RunCached(ctx context.Context, c *Cache, r *runner.Runner, pri int, rs spec
 	}
 	start := time.Now()
 	gs := sp.Child("cache.get")
-	if res, ok := c.get(ctx, key, true); ok {
+	if res, ok := c.store().Get(ctx, key+ext); ok {
 		gs.End()
 		sp.Annotate("outcome", obs.OutcomeCached)
 		if trail != nil {
@@ -425,7 +295,7 @@ func RunCached(ctx context.Context, c *Cache, r *runner.Runner, pri int, rs spec
 	v, err := r.Do(ctx, "sim:"+key, pri, func() (any, error) {
 		// A concurrent process (or a deduplicated predecessor in this
 		// one) may have persisted the entry since the first lookup.
-		if res, ok := c.get(ctx, key, false); ok {
+		if res, ok := c.store().Peek(ctx, key+ext); ok {
 			return res, nil
 		}
 		obs.TrailFrom(ctx).MarkExecuted()
@@ -443,14 +313,14 @@ func RunCached(ctx context.Context, c *Cache, r *runner.Runner, pri int, rs spec
 			return res, nil
 		}
 		_, ps := obs.StartSpan(ctx, "cache.put")
-		c.persist(ctx, key, res)
+		c.store().Persist(ctx, key+ext, func() ([]byte, error) { return encodeEntry(key, res) })
 		ps.End()
 		return res, nil
 	})
 	if err != nil {
 		sp.Annotate("error", err.Error())
-		if c != nil && ctx.Err() != nil {
-			c.mon.RunCancelled("sim:" + key)
+		if ctx.Err() != nil {
+			c.store().Monitor().RunCancelled("sim:" + key)
 		}
 		return sim.Result{}, err
 	}
