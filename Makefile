@@ -15,9 +15,12 @@ test:
 	$(GO) test ./...
 
 # verify is the tier-1 gate: everything must compile, be gofmt-clean,
-# vet clean (plus staticcheck where installed), and pass.
+# vet clean (plus staticcheck where installed), and pass. The benchmark
+# in ebmbench/ is its own Go module, invisible to ./..., so it is built
+# and vetted separately: it imports internal APIs a change could break.
 verify:
 	$(GO) build ./...
+	cd ebmbench && $(GO) build ./... && $(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...

@@ -81,14 +81,9 @@ func run(ctx context.Context) error {
 		old       = fs.String("old", "", "previous snapshot to diff against")
 		baseline  = fs.String("baseline", "", "snapshot to diff against as a one-line ratio table")
 		maxRatio  = fs.String("maxratio", "", "assert ns/op ratio 'BenchA/BenchB=1.05' within this run")
-		version   = fs.Bool("version", false, "print the build version and exit")
 	)
-	if err := fs.Parse(os.Args[1:]); err != nil {
+	if err := cli.Parse(fs, os.Args[1:]); err != nil {
 		return err
-	}
-	if *version {
-		fmt.Println("benchdiff", cli.Version())
-		return nil
 	}
 
 	args := []string{"test", "-run", "^$", "-bench", *bench, "-benchmem",

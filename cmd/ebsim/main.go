@@ -62,8 +62,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -114,16 +112,11 @@ func run(ctx context.Context) error {
 			"run the policy inside the sandbox: panics and malformed decisions degrade to a safe fallback instead of aborting; degraded results are never cached")
 		sandboxBudget = fs.Duration("sandbox-budget", 0,
 			"per-decision wall-clock budget under -sandbox, e.g. 10ms (0 = panic isolation only; implies -sandbox)")
-		version = fs.Bool("version", false, "print the build version and exit")
 	)
-	if err := fs.Parse(os.Args[1:]); err != nil {
+	if err := cli.Parse(fs, os.Args[1:]); err != nil {
 		return err
 	}
-	if *version {
-		fmt.Println("ebsim", cli.Version())
-		return nil
-	}
-	stopProf, err := startProfiles(*cpuProf, *memProf)
+	stopProf, err := cli.Profiles("ebsim", *cpuProf, *memProf)
 	if err != nil {
 		return err
 	}
@@ -132,70 +125,21 @@ func run(ctx context.Context) error {
 	cfg := config.Default()
 
 	// -trace-spans: the tracer rides ctx through profiling, the cached
-	// run, and the retry/watchdog layers; the span tree is written as a
-	// Chrome-trace flamechart at exit.
-	if *spansF != "" {
-		tracer := obs.NewTracer()
-		ctx = obs.WithTracer(ctx, tracer)
-		var root *obs.Span
-		ctx, root = obs.StartSpan(ctx, "ebsim", obs.A("workload", *wlName))
-		defer func() {
-			root.End()
-			f, err := os.Create(*spansF)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "ebsim:", err)
-				return
-			}
-			werr := obs.WriteSpanTrace(f, tracer)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				fmt.Fprintln(os.Stderr, "ebsim:", werr)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "ebsim: wrote %d spans to %s\n", tracer.Len(), *spansF)
-		}()
-	}
+	// run, and the retry/watchdog layers.
+	ctx, finishSpans := cli.TraceSpans(ctx, "ebsim", *spansF, obs.A("workload", *wlName))
+	defer finishSpans()
 
-	var rcache *simcache.Cache
-	if *simc != "" {
-		rcache, err = simcache.Open(*simc)
-		if err != nil {
-			return err
-		}
-	}
 	// -ledger: provenance hangs off the result-cache handle; observed runs
 	// (-trace/-chrometrace/-listen) bypass the cache and so leave no
 	// records.
-	if *ledgerF != "" {
-		if rcache == nil {
-			return cli.Usagef("-ledger needs -simcache")
-		}
-		l, err := obs.OpenLedger(*ledgerF)
-		if err != nil {
-			return err
-		}
-		defer l.Close()
-		defer func() {
-			fmt.Fprintf(os.Stderr, "ebsim: %d provenance records appended to %s\n",
-				l.Appends(), *ledgerF)
-		}()
-		rcache.SetLedger(l)
+	stores, err := cli.OpenStores("ebsim", cli.StoreFlags{
+		SimCache: *simc, Ledger: *ledgerF, Ckpt: *ckptOn, CkptDir: *ckptDir, CkptMax: *ckptMax,
+	})
+	if err != nil {
+		return err
 	}
-	var store *ckpt.Store
-	if *ckptOn {
-		store, err = ckpt.Open(*ckptDir)
-		if err != nil {
-			return err
-		}
-		store.SetMaxBytes(*ckptMax)
-		defer func() {
-			s := store.Stats()
-			fmt.Fprintf(os.Stderr, "ebsim: ckpt: %d forks, %d checkpoints persisted (%s)\n",
-				s.Forks, s.Writes, store.Dir())
-		}()
-	}
+	defer stores.Close()
+	rcache, store := stores.Cache, stores.Ckpt
 
 	// The live-metrics registry is created up front so the resilience
 	// counters land on the same /metrics endpoint as the engine's.
@@ -234,19 +178,13 @@ func run(ctx context.Context) error {
 			}
 		}
 		inj = faultinject.New(injCfg)
-		monReg := reg
-		if monReg == nil {
-			monReg = obs.NewRegistry() // private tally for the exit report
-		}
-		mon = resilience.NewMonitor(monReg, nil)
-		if rcache != nil {
-			rcache.SetHooks(inj)
-			rcache.SetResilience(resilience.DefaultPolicy(), mon)
-		}
-		// Checkpoint reads and writes face the same injected faults; the
-		// store's degradation ladder turns them into cold execution.
+		mon = resilience.NewMonitor(reg, nil)
+		// Checkpoint reads and writes face the same injected faults as the
+		// cache; the store's degradation ladder turns them into cold
+		// execution.
+		rcache.SetHooks(inj)
 		store.SetHooks(inj)
-		store.SetResilience(resilience.DefaultPolicy(), mon)
+		stores.SetResilience(mon)
 		dog = resilience.NewWatchdog(resilience.WatchdogOptions{
 			Label:    "ebsim",
 			Deadline: 30 * time.Second,
@@ -495,39 +433,6 @@ func writeFile(path string, write func(*os.File) error) error {
 	}
 	fmt.Fprintf(os.Stderr, "ebsim: wrote %s\n", path)
 	return nil
-}
-
-// startProfiles starts a CPU profile and arranges a heap profile; the
-// returned func stops and writes them. With the single-exit-point run
-// pattern the deferred stop now runs on every path, including errors.
-func startProfiles(cpuPath, memPath string) (func(), error) {
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	return func() {
-		if cpuPath != "" {
-			pprof.StopCPUProfile()
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "ebsim:", err)
-				return
-			}
-			runtime.GC() // settle live-heap accounting before the snapshot
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "ebsim:", err)
-			}
-			f.Close()
-		}
-	}, nil
 }
 
 func runAlone(ctx context.Context, cfg config.GPU, name string, rcache *simcache.Cache, store *ckpt.Store) error {

@@ -31,10 +31,8 @@ import (
 	"path/filepath"
 	"time"
 
-	"ebm/internal/ckpt"
 	"ebm/internal/cli"
 	"ebm/internal/experiments"
-	"ebm/internal/obs"
 	"ebm/internal/workload"
 )
 
@@ -55,14 +53,9 @@ func run(ctx context.Context) error {
 		out     = fs.String("out", "", "directory to also write one text file per experiment")
 		ledgerF = fs.String("ledger", "", "append one provenance record per completed run to this JSONL `file` (needs -simcache)")
 		spansF  = fs.String("trace-spans", "", "write the orchestration spans as a Chrome trace-event `file` at exit")
-		version = fs.Bool("version", false, "print the build version and exit")
 	)
-	if err := fs.Parse(os.Args[1:]); err != nil {
+	if err := cli.Parse(fs, os.Args[1:]); err != nil {
 		return err
-	}
-	if *version {
-		fmt.Println("paperfigs", cli.Version())
-		return nil
 	}
 
 	if *list {
@@ -75,57 +68,18 @@ func run(ctx context.Context) error {
 		return cli.Usagef("pass -id <experiment>, -all, or -list")
 	}
 
-	opt := experiments.Options{SimCache: *simc, Adaptive: *adapt}
 	// -trace-spans: the tracer rides ctx into NewEnv and every experiment
-	// below it; the finished span tree is written as a flamechart at exit.
-	if *spansF != "" {
-		tracer := obs.NewTracer()
-		ctx = obs.WithTracer(ctx, tracer)
-		var root *obs.Span
-		ctx, root = obs.StartSpan(ctx, "paperfigs")
-		defer func() {
-			root.End()
-			f, err := os.Create(*spansF)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "paperfigs:", err)
-				return
-			}
-			werr := obs.WriteSpanTrace(f, tracer)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				fmt.Fprintln(os.Stderr, "paperfigs:", werr)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "paperfigs: wrote %d spans to %s\n", tracer.Len(), *spansF)
-		}()
+	// below it.
+	ctx, finishSpans := cli.TraceSpans(ctx, "paperfigs", *spansF)
+	defer finishSpans()
+	stores, err := cli.OpenStores("paperfigs", cli.StoreFlags{
+		SimCache: *simc, Ledger: *ledgerF, Ckpt: *ckptOn, CkptDir: *ckptDir, CkptMax: *ckptMax,
+	})
+	if err != nil {
+		return err
 	}
-	// -ledger: provenance records flow through the environment's simcache
-	// handle, so the cache is a prerequisite.
-	if *ledgerF != "" {
-		if *simc == "" {
-			return cli.Usagef("-ledger needs -simcache")
-		}
-		l, err := obs.OpenLedger(*ledgerF)
-		if err != nil {
-			return err
-		}
-		defer l.Close()
-		defer func() {
-			fmt.Fprintf(os.Stderr, "paperfigs: %d provenance records appended to %s\n",
-				l.Appends(), *ledgerF)
-		}()
-		opt.Ledger = l
-	}
-	if *ckptOn {
-		store, err := ckpt.Open(*ckptDir)
-		if err != nil {
-			return err
-		}
-		store.SetMaxBytes(*ckptMax)
-		opt.Ckpt = store
-	}
+	defer stores.Close()
+	opt := experiments.Options{SimCache: *simc, Adaptive: *adapt, Ledger: stores.Ledger, Ckpt: stores.Ckpt}
 	if *quick {
 		opt.GridCycles = 60_000
 		opt.GridWarmup = 10_000
@@ -139,18 +93,9 @@ func run(ctx context.Context) error {
 		return fmt.Errorf("profiling failed: %w", err)
 	}
 	fmt.Fprintf(os.Stderr, "profiles ready in %.1fs\n", time.Since(start).Seconds())
-	defer func() {
-		if c := env.Cache(); c != nil {
-			s := c.Stats()
-			fmt.Fprintf(os.Stderr, "simcache: %d hits, %d misses, %d results persisted (%s)\n",
-				s.Hits, s.Misses, s.Writes, c.Dir())
-		}
-		if st := env.Ckpt(); st != nil {
-			s := st.Stats()
-			fmt.Fprintf(os.Stderr, "ckpt: %d forks, %d misses, %d checkpoints persisted (%s)\n",
-				s.Forks, s.Misses, s.Writes, st.Dir())
-		}
-	}()
+	// The environment opens its own handle on the -simcache directory;
+	// that handle carries the run's traffic, so the exit report reads it.
+	stores.Cache = env.Cache()
 
 	runOne := func(x experiments.Experiment) error {
 		var w io.Writer = os.Stdout

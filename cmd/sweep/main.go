@@ -75,7 +75,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -129,7 +128,6 @@ func run(ctx context.Context) error {
 		workerURL = fs.String("worker", "",
 			"run as a distributed-sweep worker: pull leased cells from the coordinator at this base `URL` (e.g. http://host:9900) until the sweep completes")
 		workerID = fs.String("id", "", "worker identity for -worker (default hostname-pid)")
-		version  = fs.Bool("version", false, "print the build version and exit")
 		sandbox  = fs.Bool("sandbox", false,
 			"run the -schemes policies inside the policy sandbox: a panicking or malformed policy degrades to a safe fallback and the sweep completes; degraded results are not cached")
 		sandboxBudget = fs.Duration("sandbox-budget", 0,
@@ -140,25 +138,16 @@ func run(ctx context.Context) error {
 		"run-provenance ledger appended one JSON record per completed run "+
 			"(auto = ledger.jsonl beside the -simcache directory; empty disables; "+
 			"repeatable with -explain, where each value may be a file or a directory of *.jsonl)")
-	if err := fs.Parse(os.Args[1:]); err != nil {
+	if err := cli.Parse(fs, os.Args[1:]); err != nil {
 		return err
 	}
-	if *version {
-		fmt.Println("sweep", cli.Version())
-		return nil
+	// A run appends to the first -ledger value; the default "auto" ties
+	// the ledger to the simcache it explains.
+	storeFlags := cli.StoreFlags{
+		SimCache: *simc, Ledger: "auto", Ckpt: *ckptOn, CkptDir: *ckptDir, CkptMax: *ckptMax,
 	}
-
-	// "auto" ties the ledger's lifetime to the simcache it explains: the
-	// file lands beside the cache directory, so the pair travels together.
-	ledgerPath := "auto"
 	if len(ledgers) > 0 {
-		ledgerPath = ledgers[0]
-	}
-	if ledgerPath == "auto" {
-		ledgerPath = ""
-		if *simc != "" {
-			ledgerPath = filepath.Join(filepath.Dir(*simc), "ledger.jsonl")
-		}
+		storeFlags.Ledger = ledgers[0]
 	}
 
 	// -explain is a reader mode: summarize the ledger(s) a previous sweep
@@ -169,10 +158,11 @@ func run(ctx context.Context) error {
 	if *explain {
 		paths := []string(ledgers)
 		if len(paths) == 0 || (len(paths) == 1 && paths[0] == "auto") {
-			if ledgerPath == "" {
+			auto := cli.Beside("auto", *simc, "ledger.jsonl")
+			if auto == "" {
 				return cli.Usagef("-explain needs a -ledger file (or -simcache for the auto default)")
 			}
-			paths = []string{ledgerPath}
+			paths = []string{auto}
 		}
 		merged := len(paths) > 1
 		if fi, err := os.Stat(paths[0]); err == nil && fi.IsDir() {
@@ -199,12 +189,7 @@ func run(ctx context.Context) error {
 	// executes whatever cells it is leased, through the same
 	// cache/checkpoint stack a local sweep uses.
 	if *workerURL != "" {
-		return runWorker(ctx, workerConfig{
-			url: *workerURL, id: *workerID,
-			simc: *simc, ledgerPath: ledgerPath,
-			ckptOn: *ckptOn, ckptDir: *ckptDir, ckptMax: *ckptMax,
-			parallel: *parallel,
-		})
+		return runWorker(ctx, *workerURL, *workerID, storeFlags, *parallel)
 	}
 
 	out := io.Writer(os.Stdout)
@@ -233,6 +218,20 @@ func run(ctx context.Context) error {
 		return cli.Usagef("unknown -search %q (want exhaustive or adaptive)", *searchMode)
 	}
 
+	// The result cache is what makes an interrupted sweep resumable:
+	// every finished combination is persisted as it completes, and a rerun
+	// replays those cells instead of re-simulating them. The ledger
+	// records how each run was satisfied for `sweep -explain`. The
+	// checkpoint store makes even the *cold* part of a sweep sub-linear:
+	// every uncached simulation forks from the deepest persisted snapshot
+	// of its deterministic prefix.
+	stores, err := cli.OpenStores("sweep", storeFlags)
+	if err != nil {
+		return err
+	}
+	defer stores.Close()
+	rcache, store := stores.Cache, stores.Ckpt
+
 	start := time.Now()
 	work0 := sim.CyclesSimulated() // engine work before this sweep
 	sims := 0                      // simulations actually executed this run
@@ -246,60 +245,16 @@ func run(ctx context.Context) error {
 		fmt.Fprintf(os.Stderr, "sweep: %d engine cycles simulated (cache hits and restored checkpoint prefixes excluded)\n",
 			sim.CyclesSimulated()-work0)
 	}()
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			return err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return err
-		}
-		defer pprof.StopCPUProfile()
+	stopProf, err := cli.Profiles("sweep", *cpuProf, *memProf)
+	if err != nil {
+		return err
 	}
-	if *memProf != "" {
-		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "sweep:", err)
-				return
-			}
-			runtime.GC() // settle live-heap accounting before the snapshot
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "sweep:", err)
-			}
-			f.Close()
-		}()
-	}
+	defer stopProf()
 
-	// -trace-spans: a tracer rides the context through every layer below;
-	// the root "sweep" span parents profiling, the grid build, and the
-	// scheme runs, and the finished tree is written as a Chrome-trace
-	// flamechart at exit (lanes = concurrent workers).
-	var tracer *obs.Tracer
-	if *spansF != "" {
-		tracer = obs.NewTracer()
-		ctx = obs.WithTracer(ctx, tracer)
-		var root *obs.Span
-		ctx, root = obs.StartSpan(ctx, "sweep", obs.A("workload", *wlName))
-		defer func() {
-			root.End()
-			f, err := os.Create(*spansF)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "sweep:", err)
-				return
-			}
-			werr := obs.WriteSpanTrace(f, tracer)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				fmt.Fprintln(os.Stderr, "sweep:", werr)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "sweep: wrote %d spans to %s\n", tracer.Len(), *spansF)
-		}()
-	}
+	// -trace-spans: the root "sweep" span parents profiling, the grid
+	// build, and the scheme runs (flamechart lanes = concurrent workers).
+	ctx, finishSpans := cli.TraceSpans(ctx, "sweep", *spansF, obs.A("workload", *wlName))
+	defer finishSpans()
 
 	cfg := config.Default()
 	wl, ok := workload.ByName(*wlName)
@@ -307,53 +262,8 @@ func run(ctx context.Context) error {
 		return cli.Usagef("need a two-application workload; apps: %v", kernel.Names())
 	}
 
-	// The result cache is what makes an interrupted sweep resumable:
-	// every finished combination is persisted as it completes, and a rerun
-	// replays those cells instead of re-simulating them. The pool bounds
-	// execution at -parallel workers; closing it waits for in-flight tasks,
-	// which is the orderly drain a SIGINT relies on.
-	var rcache *simcache.Cache
-	if *simc != "" {
-		var err error
-		rcache, err = simcache.Open(*simc)
-		if err != nil {
-			return err
-		}
-	}
-	// The provenance ledger hangs off the cache handle: every completed
-	// run appends one JSON record (fingerprint, scheme, cached / forked /
-	// cold, retries, faults, cost) that `sweep -explain` later summarizes.
-	var ledger *obs.Ledger
-	if ledgerPath != "" {
-		if rcache == nil {
-			fmt.Fprintln(os.Stderr, "sweep: -ledger needs -simcache; provenance disabled")
-		} else {
-			l, err := obs.OpenLedger(ledgerPath)
-			if err != nil {
-				return err
-			}
-			ledger = l
-			defer ledger.Close()
-			defer func() {
-				fmt.Fprintf(os.Stderr, "sweep: %d provenance records appended to %s\n",
-					ledger.Appends(), ledgerPath)
-			}()
-			rcache.SetLedger(ledger)
-		}
-	}
-	// The checkpoint store makes even the *cold* part of a sweep
-	// sub-linear: every uncached simulation forks from the deepest
-	// persisted snapshot of its deterministic prefix (written by earlier
-	// sweeps at other horizons, or by this one before an interruption).
-	var store *ckpt.Store
-	if *ckptOn {
-		var err error
-		store, err = ckpt.Open(*ckptDir)
-		if err != nil {
-			return err
-		}
-		store.SetMaxBytes(*ckptMax)
-	}
+	// The pool bounds execution at -parallel workers; closing it waits
+	// for in-flight tasks, which is the orderly drain a SIGINT relies on.
 	pool := runner.New(*parallel)
 	defer pool.Close()
 
@@ -388,11 +298,7 @@ func run(ctx context.Context) error {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "sweep: serving metrics on http://%s/metrics\n", srv.Addr)
 	}
-	mon := resilience.NewMonitor(reg, journal)
-	if rcache != nil {
-		rcache.SetResilience(resilience.DefaultPolicy(), mon)
-	}
-	store.SetResilience(resilience.DefaultPolicy(), mon)
+	stores.SetResilience(resilience.NewMonitor(reg, journal))
 
 	// resumeReport describes the persisted state after an interruption so
 	// the user knows exactly what a rerun will pick up.
@@ -684,23 +590,13 @@ type multiFlag []string
 func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
 func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
 
-type workerConfig struct {
-	url, id          string
-	simc, ledgerPath string
-	ckptOn           bool
-	ckptDir          string
-	ckptMax          int64
-	parallel         int
-}
-
 // runWorker is `sweep -worker`: register with the coordinator, lease
 // cells, execute them through the shared cache/checkpoint stack, and
 // report each under its fencing token. SIGTERM/SIGINT cancels ctx,
 // which drains gracefully — the in-flight cell finishes, unstarted
 // leases are released, the worker deregisters — and exits 130 through
 // the usual cli contract (a second signal kills immediately).
-func runWorker(ctx context.Context, c workerConfig) error {
-	id := c.id
+func runWorker(ctx context.Context, url, id string, f cli.StoreFlags, parallel int) error {
 	if id == "" {
 		host, _ := os.Hostname()
 		if host == "" {
@@ -708,50 +604,25 @@ func runWorker(ctx context.Context, c workerConfig) error {
 		}
 		id = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-	var rcache *simcache.Cache
-	if c.simc != "" {
-		var err error
-		rcache, err = simcache.Open(c.simc)
-		if err != nil {
-			return err
-		}
-		rcache.SetResilience(resilience.DefaultPolicy(), nil)
+	stores, err := cli.OpenStores("sweep", f)
+	if err != nil {
+		return err
 	}
+	defer stores.Close()
 	// The worker's ledger is its slice of the sweep's provenance: every
 	// record is stamped with the worker id, so `sweep -explain` over the
 	// collected per-worker files attributes each run to who satisfied it.
-	if c.ledgerPath != "" && rcache != nil {
-		ledger, err := obs.OpenLedger(c.ledgerPath)
-		if err != nil {
-			return err
-		}
-		ledger.SetWorker(id)
-		rcache.SetLedger(ledger)
-		defer ledger.Close()
-		defer func() {
-			fmt.Fprintf(os.Stderr, "sweep: worker %s: %d provenance records appended to %s\n",
-				id, ledger.Appends(), c.ledgerPath)
-		}()
-	}
-	var store *ckpt.Store
-	if c.ckptOn {
-		var err error
-		store, err = ckpt.Open(c.ckptDir)
-		if err != nil {
-			return err
-		}
-		store.SetMaxBytes(c.ckptMax)
-	}
-	pool := runner.New(c.parallel)
+	stores.Ledger.SetWorker(id)
+	pool := runner.New(parallel)
 	defer pool.Close()
 
 	w := dsweep.NewWorker(dsweep.WorkerOptions{
-		ID: id, URL: c.url,
-		Cache: rcache, Ckpt: store, Runner: pool,
+		ID: id, URL: url,
+		Cache: stores.Cache, Ckpt: stores.Ckpt, Runner: pool,
 		Version: cli.Version(),
 	})
-	fmt.Fprintf(os.Stderr, "sweep: worker %s pulling cells from %s\n", id, c.url)
-	err := w.Run(ctx)
+	fmt.Fprintf(os.Stderr, "sweep: worker %s pulling cells from %s\n", id, url)
+	err = w.Run(ctx)
 	fmt.Fprintf(os.Stderr, "sweep: worker %s: %d completions accepted, %d fenced off\n",
 		id, w.Completed(), w.Fenced())
 	return err

@@ -39,7 +39,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -50,7 +49,6 @@ import (
 	"ebm/internal/kernel"
 	"ebm/internal/obs"
 	"ebm/internal/resilience"
-	"ebm/internal/simcache"
 	"ebm/internal/workload"
 )
 
@@ -73,14 +71,9 @@ func run(ctx context.Context) error {
 		ledgerF = fs.String("ledger", "auto",
 			"provenance ledger appended one worker-attributed record per accepted completion "+
 				"(auto = ledger.jsonl beside the -simcache directory; empty disables)")
-		version = fs.Bool("version", false, "print the build version and exit")
 	)
-	if err := fs.Parse(os.Args[1:]); err != nil {
+	if err := cli.Parse(fs, os.Args[1:]); err != nil {
 		return err
-	}
-	if *version {
-		fmt.Println("sweepd", cli.Version())
-		return nil
 	}
 
 	cfg := config.Default()
@@ -102,37 +95,11 @@ func run(ctx context.Context) error {
 		Config: cfg, Levels: levels, TotalCycles: *cycles, WarmupCycles: *warmup,
 	})
 
-	var rcache *simcache.Cache
-	if *simc != "" {
-		var err error
-		rcache, err = simcache.Open(*simc)
-		if err != nil {
-			return err
-		}
+	stores, err := cli.OpenStores("sweepd", cli.StoreFlags{SimCache: *simc, Ledger: *ledgerF})
+	if err != nil {
+		return err
 	}
-	statePath := *stateF
-	if statePath == "auto" {
-		statePath = ""
-		if *simc != "" {
-			statePath = filepath.Join(filepath.Dir(*simc), "dsweep-state.json")
-		}
-	}
-	ledgerPath := *ledgerF
-	if ledgerPath == "auto" {
-		ledgerPath = ""
-		if *simc != "" {
-			ledgerPath = filepath.Join(filepath.Dir(*simc), "ledger.jsonl")
-		}
-	}
-	var ledger *obs.Ledger
-	if ledgerPath != "" {
-		l, err := obs.OpenLedger(ledgerPath)
-		if err != nil {
-			return err
-		}
-		ledger = l
-		defer ledger.Close()
-	}
+	defer stores.Close()
 
 	// Every coordinator state transition lands in the journal; the
 	// stderr subscriber narrates it live, and the registry mirrors the
@@ -148,12 +115,12 @@ func run(ctx context.Context) error {
 
 	coord, err := dsweep.New(dsweep.Options{
 		Cells:     cells,
-		Cache:     rcache,
-		StatePath: statePath,
+		Cache:     stores.Cache,
+		StatePath: cli.Beside(*stateF, *simc, "dsweep-state.json"),
 		LeaseTTL:  *leaseTTL,
 		Version:   cli.Version(),
 		Journal:   journal,
-		Ledger:    ledger,
+		Ledger:    stores.Ledger,
 		Registry:  reg,
 		Mon:       mon,
 	})

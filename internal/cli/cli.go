@@ -49,7 +49,7 @@ func IsUsage(err error) bool {
 // ExitCode maps a run(ctx) error to a process exit code.
 func ExitCode(err error) int {
 	switch {
-	case err == nil, errors.Is(err, flag.ErrHelp):
+	case err == nil, errors.Is(err, flag.ErrHelp), errors.Is(err, ErrVersion):
 		return ExitOK
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return ExitInterrupted
@@ -100,8 +100,8 @@ func Version() string {
 // code. The context cancels on the first SIGINT/SIGTERM; a second signal
 // bypasses the orderly drain and kills the process (exit 130) so a stuck
 // shutdown can always be escaped. Errors are printed to stderr prefixed
-// with the command name (flag.ErrHelp prints nothing — the FlagSet
-// already wrote its usage text).
+// with the command name (flag.ErrHelp and ErrVersion print nothing —
+// the FlagSet already wrote its usage text, Parse the version).
 func Run(name string, stderr io.Writer, fn func(ctx context.Context) error) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -112,7 +112,7 @@ func Run(name string, stderr io.Writer, fn func(ctx context.Context) error) int 
 
 	err := fn(ctx)
 	code := ExitCode(err)
-	if err != nil && !errors.Is(err, flag.ErrHelp) {
+	if code != ExitOK {
 		fmt.Fprintf(stderr, "%s: %v\n", name, err)
 	}
 	if code == ExitInterrupted {

@@ -21,26 +21,25 @@ import (
 	"ebm/internal/obs"
 )
 
-// Monitor publishes resilience incidents: counters in an obs registry
-// (runs_cancelled, cache_retries, watchdog_trips) and EvResilience
-// events in a journal. Either sink may be absent; a nil Monitor is a
-// no-op.
+// Monitor counts resilience incidents (runs cancelled, cache retries,
+// watchdog trips), publishes the counts in an obs registry, and records
+// EvResilience events in a journal. Either sink may be absent — the
+// Monitor counts regardless; a nil Monitor is a no-op.
 type Monitor struct {
-	RunsCancelled *obs.Counter
-	CacheRetries  *obs.Counter
-	WatchdogTrips *obs.Counter
+	RunsCancelled obs.Counter
+	CacheRetries  obs.Counter
+	WatchdogTrips obs.Counter
 	Journal       *obs.Journal
 }
 
 // NewMonitor registers the resilience counters in reg (nil skips
-// registration; the obs handles are nil-safe) and journals incidents to
-// j (nil discards them).
+// registration) and journals incidents to j (nil discards them).
 func NewMonitor(reg *obs.Registry, j *obs.Journal) *Monitor {
 	m := &Monitor{Journal: j}
 	if reg != nil {
-		m.RunsCancelled = reg.Counter("ebm_runs_cancelled_total", "simulation runs aborted by cancellation")
-		m.CacheRetries = reg.Counter("ebm_cache_retries_total", "transient cache I/O failures retried")
-		m.WatchdogTrips = reg.Counter("ebm_watchdog_trips_total", "runs declared stuck by the progress watchdog")
+		reg.RegisterCounter("ebm_runs_cancelled_total", "simulation runs aborted by cancellation", &m.RunsCancelled)
+		reg.RegisterCounter("ebm_cache_retries_total", "transient cache I/O failures retried", &m.CacheRetries)
+		reg.RegisterCounter("ebm_watchdog_trips_total", "runs declared stuck by the progress watchdog", &m.WatchdogTrips)
 	}
 	return m
 }

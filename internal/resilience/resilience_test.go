@@ -182,3 +182,26 @@ func TestMonitorJournalsResilienceEvents(t *testing.T) {
 		}
 	}
 }
+
+// TestMonitorCountsWithoutRegistry: the Monitor owns its counters, so a
+// registry only publishes them; without one it still counts.
+func TestMonitorCountsWithoutRegistry(t *testing.T) {
+	reg := obs.NewRegistry()
+	for _, m := range []*Monitor{NewMonitor(nil, nil), NewMonitor(reg, nil)} {
+		m.RunCancelled("a")
+		m.CacheRetry("b", 1, errors.New("transient"))
+		m.CacheRetry("b", 2, errors.New("transient"))
+		m.WatchdogTrip("c")
+		if m.RunsCancelled.Value() != 1 || m.CacheRetries.Value() != 2 || m.WatchdogTrips.Value() != 1 {
+			t.Fatalf("counted %d cancelled, %d retries, %d trips; want 1, 2, 1",
+				m.RunsCancelled.Value(), m.CacheRetries.Value(), m.WatchdogTrips.Value())
+		}
+	}
+	for name, want := range map[string]uint64{
+		"ebm_runs_cancelled_total": 1, "ebm_cache_retries_total": 2, "ebm_watchdog_trips_total": 1,
+	} {
+		if got := reg.Counter(name, "").Value(); got != want {
+			t.Fatalf("%s published %d, want %d", name, got, want)
+		}
+	}
+}

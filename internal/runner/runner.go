@@ -27,7 +27,6 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"ebm/internal/faultinject"
 	"ebm/internal/obs"
@@ -108,13 +107,13 @@ type Runner struct {
 	// runs inside the panic-recovery region of every pooled task.
 	hooks faultinject.Hooks
 
-	ran     atomic.Uint64
-	deduped atomic.Uint64
+	// ran and deduped are the pool's only tallies: Stats reads them and
+	// Instrument publishes them.
+	ran     obs.Counter
+	deduped obs.Counter
 
-	// Optional observability handles (nil-safe), set via Instrument.
+	// queueDepth is the optional (nil-safe) gauge set via Instrument.
 	queueDepth *obs.Gauge
-	runsC      *obs.Counter
-	dedupC     *obs.Counter
 }
 
 // New starts a pool with the given number of workers (minimum 1).
@@ -220,8 +219,7 @@ func (r *Runner) Do(ctx context.Context, key string, pri int, fn Task) (any, err
 	if key != "" {
 		if c, ok := r.inflight[key]; ok {
 			r.mu.Unlock()
-			r.deduped.Add(1)
-			r.dedupC.Inc()
+			r.deduped.Inc()
 			sp.Annotate("shared", "true")
 			select {
 			case <-c.done:
@@ -266,15 +264,13 @@ func (r *Runner) worker() {
 		r.queueDepth.Set(float64(r.queue.Len()))
 		r.mu.Unlock()
 
-		skipped := false
 		if err := it.ctx.Err(); err != nil {
 			// Submitted before the cancel, popped after: complete the call
 			// without running so a shutdown drains instead of simulating.
 			it.c.err = err
-			skipped = true
 		} else {
 			it.c.val, it.c.err = runHooked(hooks, it.key, it.fn)
-			r.ran.Add(1)
+			r.ran.Inc()
 		}
 
 		r.mu.Lock()
@@ -282,9 +278,6 @@ func (r *Runner) worker() {
 			delete(r.inflight, it.key)
 		}
 		r.active--
-		if !skipped {
-			r.runsC.Inc()
-		}
 		r.cond.Broadcast() // wake Close waiters and idle workers
 		r.mu.Unlock()
 		close(it.c.done)
@@ -327,12 +320,12 @@ func (r *Runner) Stats() Stats {
 	r.mu.Lock()
 	q := len(r.queue)
 	r.mu.Unlock()
-	return Stats{Ran: r.ran.Load(), Deduped: r.deduped.Load(), Queued: q}
+	return Stats{Ran: r.ran.Value(), Deduped: r.deduped.Value(), Queued: q}
 }
 
-// Instrument mirrors the pool's activity into an obs registry:
+// Instrument publishes the pool's activity in an obs registry:
 // ebm_runner_queue_depth, ebm_runner_tasks_total, and
-// ebm_runner_dedup_total.
+// ebm_runner_dedup_total (the counters Stats reads).
 func (r *Runner) Instrument(reg *obs.Registry) {
 	if r == nil || reg == nil {
 		return
@@ -340,10 +333,8 @@ func (r *Runner) Instrument(reg *obs.Registry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.queueDepth = reg.Gauge("ebm_runner_queue_depth", "tasks waiting in the shared executor queue")
-	r.runsC = reg.Counter("ebm_runner_tasks_total", "tasks executed by the shared executor")
-	r.dedupC = reg.Counter("ebm_runner_dedup_total", "submissions absorbed by singleflight dedup")
-	r.runsC.Set(r.ran.Load())
-	r.dedupC.Set(r.deduped.Load())
+	reg.RegisterCounter("ebm_runner_tasks_total", "tasks executed by the shared executor", &r.ran)
+	reg.RegisterCounter("ebm_runner_dedup_total", "submissions absorbed by singleflight dedup", &r.deduped)
 }
 
 // Group is a standalone singleflight for non-pooled values (e.g. "build

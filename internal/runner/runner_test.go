@@ -214,6 +214,58 @@ func TestInstrument(t *testing.T) {
 	}
 }
 
+// TestStatsMatchPublishedCounters: Stats and the published
+// ebm_runner_tasks_total / ebm_runner_dedup_total read one tally, also
+// when Instrument comes after tasks have already run.
+func TestStatsMatchPublishedCounters(t *testing.T) {
+	r := New(2)
+	defer r.Close()
+	// round submits one keyed task with three callers deduplicated onto
+	// it, then two unkeyed tasks: 3 executions, 3 dedups.
+	round := func() {
+		gate := make(chan struct{})
+		before := r.Stats().Deduped
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := r.Do(nil, "dup", PriEval, func() (any, error) { <-gate; return nil, nil }); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		for r.Stats().Deduped < before+3 {
+			time.Sleep(time.Millisecond)
+		}
+		close(gate)
+		wg.Wait()
+		for i := 0; i < 2; i++ {
+			if _, err := r.Do(nil, "", PriGrid, func() (any, error) { return nil, nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	reg := obs.NewRegistry()
+	check := func(wantRan, wantDeduped uint64) {
+		t.Helper()
+		s := r.Stats()
+		runs := reg.Counter("ebm_runner_tasks_total", "").Value()
+		dedup := reg.Counter("ebm_runner_dedup_total", "").Value()
+		if s.Ran != wantRan || s.Deduped != wantDeduped {
+			t.Fatalf("Stats ran %d deduped %d, want %d and %d", s.Ran, s.Deduped, wantRan, wantDeduped)
+		}
+		if runs != s.Ran || dedup != s.Deduped {
+			t.Fatalf("published tasks %d dedup %d, Stats ran %d deduped %d", runs, dedup, s.Ran, s.Deduped)
+		}
+	}
+	round()
+	r.Instrument(reg) // after the first round already ran
+	check(3, 3)
+	round()
+	check(6, 6)
+}
+
 func TestGroupDedupsAndForgets(t *testing.T) {
 	var g Group
 	var execs atomic.Int64
