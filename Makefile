@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all verify race chaos dsweep-chaos bench obs-bench figs-bench \
-    ckpt-bench trace-bench search-bench policy-bench dsweep-bench \
-    cover test build
+.PHONY: all verify race chaos dsweep-chaos fuzz-smoke bench obs-bench \
+    figs-bench ckpt-bench trace-bench search-bench policy-bench \
+    dsweep-bench cover test build
 
 all: verify
 
@@ -59,6 +59,13 @@ chaos:
 dsweep-chaos:
 	$(GO) test -race -run 'TestDsweepChaos' .
 	$(GO) test -race ./internal/dsweep/...
+
+# fuzz-smoke fuzzes stall parking (DESIGN.md §6) for 20 s: a parking core
+# and a reference core that re-classifies every stall must stay
+# bit-identical under fuzzed fills, pops, requeues, TLP/bypass changes
+# and phase rebinds. `go test` alone replays only the seeded corpus.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzCorePark$$' -fuzztime 20s ./internal/gpu
 
 # bench snapshots the substrate benchmarks into BENCH_*.json via
 # cmd/benchdiff; BENCH=BENCH_2.json picks the output file, and

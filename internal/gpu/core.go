@@ -34,6 +34,20 @@ type scheduler struct {
 	readyMask  uint64
 	memWait    uint64 // warps with outstanding fills
 	lastIssued int    // scheduler-local index, -1 if none
+	park       park
+}
+
+// park records a scheduler's last structural stall. While the core's
+// memEpoch, the scheduler's ready set and lastIssued are unchanged, GTO
+// picks the same warp, whose instruction classifies against the same L1
+// and MSHR contents, so only the capacity test can change the outcome.
+// Park state is derived: it is never serialized and any doubt drops it.
+type park struct {
+	epoch uint64 // core memEpoch at the stall; 0 is never a live epoch
+	ready uint64 // the scheduler's ready active set at the stall
+	last  int    // lastIssued at the stall
+	need  int    // new lines the instruction needs (MSHR entries and out-queue slots)
+	load  bool   // loads need MSHR entries too; stores only out-queue slots
 }
 
 func (s *scheduler) activeMask(tlp int) uint64 {
@@ -50,9 +64,9 @@ type CoreStats struct {
 	MemInsts     stats.Counter
 	IssuedSlots  stats.Counter // issue slots used (<= 2 per cycle)
 	ActiveCycles stats.Counter // cycles with at least one issue
-	IdleCycles   stats.Counter // cycles with no ready active warp at all
+	IdleCycles   stats.Counter // cycles with no issue (no ready active warp, or every attempt stalled)
 	MemStall     stats.Counter // idle cycles where an active warp waited on memory
-	StallMSHR    stats.Counter // issue aborts due to full MSHRs/inject queue
+	StallMSHR    stats.Counter // scheduler issue aborts on a full MSHR file or out-queue (up to one per scheduler per cycle)
 	FastForward  stats.Counter // idle cycles credited in bulk by the fast-forward path
 }
 
@@ -90,6 +104,11 @@ type Core struct {
 
 	bypassL1 bool
 
+	// memEpoch versions everything a parked stall was classified against:
+	// L1 and MSHR contents, the TLP limit, the bypass mode and the warp
+	// streams. Bumping it drops every park on the core.
+	memEpoch uint64
+
 	Stats CoreStats
 
 	// missBuf is scratch for the two-pass memory issue.
@@ -105,14 +124,15 @@ func NewCore(id, app int, cfg *config.GPU, streams []*kernel.WarpStream, numApps
 		panic(fmt.Sprintf("gpu: core %d got %d streams, want %d", id, len(streams), cfg.MaxWarpsPerCore))
 	}
 	c := &Core{
-		ID:      id,
-		App:     app,
-		cfg:     cfg,
-		L1:      cache.New(cfg.L1, numApps),
-		warps:   make([]warp, len(streams)),
-		mshr:    mem.NewMSHRTable[int32](cfg.L1MSHRs),
-		outqCap: 16,
-		tlp:     cfg.MaxTLPPerScheduler(),
+		ID:       id,
+		App:      app,
+		cfg:      cfg,
+		L1:       cache.New(cfg.L1, numApps),
+		warps:    make([]warp, len(streams)),
+		mshr:     mem.NewMSHRTable[int32](cfg.L1MSHRs),
+		outqCap:  16,
+		tlp:      cfg.MaxTLPPerScheduler(),
+		memEpoch: 1,
 	}
 	for i, s := range streams {
 		c.warps[i].stream = s
@@ -141,6 +161,7 @@ func (c *Core) SetTLP(tlp int) {
 		tlp = maxTLP
 	}
 	c.tlp = tlp
+	c.memEpoch++
 }
 
 // TLP returns the current active-warp limit per scheduler.
@@ -152,7 +173,15 @@ func (c *Core) SetPool(p *mem.Pool) { c.pool = p }
 
 // SetBypassL1 enables or disables L1 bypassing for this core (used by the
 // Mod+Bypass baseline).
-func (c *Core) SetBypassL1(on bool) { c.bypassL1 = on }
+func (c *Core) SetBypassL1(on bool) {
+	c.bypassL1 = on
+	c.memEpoch++
+}
+
+// Unpark drops every parked stall, so each scheduler re-reads its warp's
+// current instruction at the next Tick. The simulator calls it after
+// rebinding the core's warp streams to a new kernel phase.
+func (c *Core) Unpark() { c.memEpoch++ }
 
 // BypassL1 reports whether the L1 is being bypassed.
 func (c *Core) BypassL1() bool { return c.bypassL1 }
@@ -222,6 +251,7 @@ func (c *Core) scheduleWake(w int, now uint64, delay int) {
 // HandleFill delivers a returned line: it fills the L1 (unless bypassing)
 // and wakes every warp that was waiting on it.
 func (c *Core) HandleFill(lineAddr uint64) {
+	c.memEpoch++
 	if !c.bypassL1 {
 		c.L1.Fill(lineAddr, c.App)
 	}
@@ -244,7 +274,8 @@ func (c *Core) HandleFill(lineAddr uint64) {
 }
 
 // Tick advances the core by one cycle: wake-ups, then one issue attempt
-// per scheduler.
+// per scheduler. A parked scheduler re-runs only the capacity test of its
+// stalled instruction.
 func (c *Core) Tick(now uint64) {
 	if c.wheelBusy > 0 {
 		slot := now % wheelSize
@@ -269,14 +300,14 @@ func (c *Core) Tick(now uint64) {
 		if ready == 0 {
 			continue
 		}
-		var pick int
-		if s.lastIssued >= 0 && ready&(uint64(1)<<s.lastIssued) != 0 {
-			pick = s.lastIssued // greedy: stick with the current warp
-		} else {
-			pick = bits.TrailingZeros64(ready) // then oldest
+		if s.parked(c.memEpoch, ready) && c.full(s.park.need, s.park.load) {
+			c.Stats.StallMSHR.Inc()
+			continue
 		}
+		pick := s.pick(ready)
 		if c.issue(s, pick, now) {
 			s.lastIssued = pick
+			s.park.epoch = 0 // the warp moved on to its next instruction
 			issued++
 		}
 	}
@@ -292,9 +323,46 @@ func (c *Core) Tick(now uint64) {
 	}
 }
 
+// pick is GTO's choice among the ready active warps: stick with the last
+// issued warp while it stays ready, then take the oldest.
+func (s *scheduler) pick(ready uint64) int {
+	if s.lastIssued >= 0 && ready&(uint64(1)<<s.lastIssued) != 0 {
+		return s.lastIssued
+	}
+	return bits.TrailingZeros64(ready)
+}
+
+// parked reports whether the scheduler's park still describes its next
+// issue attempt.
+func (s *scheduler) parked(epoch, ready uint64) bool {
+	return s.park.epoch == epoch && s.park.ready == ready && s.park.last == s.lastIssued
+}
+
+// full reports whether an instruction needing need new lines cannot
+// issue: every line takes an out-queue slot, and a load's lines also take
+// MSHR entries.
+func (c *Core) full(need int, load bool) bool {
+	return load && c.mshr.Len()+need > c.mshr.Cap() || !c.CanInject(need)
+}
+
+// stall counts a structural stall and parks the scheduler on it.
+func (c *Core) stall(s *scheduler, need int, load bool) bool {
+	c.Stats.StallMSHR.Inc()
+	s.park = park{
+		epoch: c.memEpoch,
+		ready: s.readyMask & s.activeMask(c.tlp),
+		last:  s.lastIssued,
+		need:  need,
+		load:  load,
+	}
+	return false
+}
+
 // issue tries to issue the current instruction of the scheduler's warp at
-// local index li; it returns false on a structural stall (the warp stays
-// ready and will retry).
+// local index li. On a structural stall it returns false with no side
+// effect but the stall count and the scheduler's park: the warp stays
+// ready, and the parked scheduler retries through the capacity test alone
+// until the stall clears or the park is dropped.
 func (c *Core) issue(s *scheduler, li int, now uint64) bool {
 	w := s.base + li
 	wp := &c.warps[w]
@@ -311,13 +379,16 @@ func (c *Core) issue(s *scheduler, li int, now uint64) bool {
 		return true
 	}
 
-	if inst.Write {
+	// Classify first, so a structural stall leaves no side effects and the
+	// warp can retry the identical instruction.
+	need, load := c.demand(inst)
+	if need > 0 && c.full(need, load) {
+		return c.stall(s, need, load)
+	}
+
+	if !load {
 		// Stores are write-through and fire-and-forget: they need out-queue
 		// space but do not block the warp on completion.
-		if !c.CanInject(len(inst.Lines)) {
-			c.Stats.StallMSHR.Inc()
-			return false
-		}
 		for _, line := range inst.Lines {
 			r := c.pool.Get()
 			r.Kind, r.LineAddr, r.App, r.Core, r.Born = mem.WriteReq, line, c.App, c.ID, now
@@ -329,27 +400,9 @@ func (c *Core) issue(s *scheduler, li int, now uint64) bool {
 		return true
 	}
 
-	// Load: classify each line (two passes so a structural stall leaves
-	// no side effects and the warp can retry the identical instruction).
-	c.missBuf = c.missBuf[:0]
-	newLines := 0
-	for _, line := range inst.Lines {
-		if !c.bypassL1 && c.L1.Contains(line) {
-			continue
-		}
-		c.missBuf = append(c.missBuf, line)
-		if !c.mshr.Contains(line) && !containsLine(c.missBuf[:len(c.missBuf)-1], line) {
-			newLines++
-		}
-	}
-	if newLines > 0 {
-		if c.mshr.Len()+newLines > c.mshr.Cap() || !c.CanInject(newLines) {
-			c.Stats.StallMSHR.Inc()
-			return false
-		}
-	}
-
-	// Commit: record L1 stats, allocate MSHRs, send requests.
+	// Load commit: record L1 stats, allocate MSHRs, send requests. The
+	// L1 and MSHR contents change, so every park on the core is stale.
+	c.memEpoch++
 	fills := 0
 	for _, line := range inst.Lines {
 		var hit bool
@@ -395,6 +448,27 @@ func (c *Core) issue(s *scheduler, li int, now uint64) bool {
 	return true
 }
 
+// demand returns how many new lines memory instruction inst needs and
+// whether it is a load. A store needs an out-queue slot per line. A load
+// needs an MSHR entry and an out-queue slot for each distinct line that
+// misses the L1 (every line when bypassing) and is not already in flight.
+func (c *Core) demand(inst *kernel.Inst) (need int, load bool) {
+	if inst.Write {
+		return len(inst.Lines), false
+	}
+	c.missBuf = c.missBuf[:0]
+	for _, line := range inst.Lines {
+		if !c.bypassL1 && c.L1.Contains(line) {
+			continue
+		}
+		c.missBuf = append(c.missBuf, line)
+		if !c.mshr.Contains(line) && !containsLine(c.missBuf[:len(c.missBuf)-1], line) {
+			need++
+		}
+	}
+	return need, true
+}
+
 // alu returns the issue-to-ready delay of a compute instruction for this
 // core's application.
 func (c *Core) alu() int {
@@ -420,22 +494,53 @@ func waitersContain(xs []int32, x int32) bool {
 	return false
 }
 
-// Quiescent reports whether Tick is a provable no-op until an external
-// event touches the core: no scheduled wake-ups and no issuable warp under
-// the current TLP limit. Only a fill delivery (HandleFill) or a TLP/bypass
-// change can end quiescence, so the simulator may fast-forward the core,
-// crediting the skipped cycles through CreditIdle.
+// Quiescent reports whether Tick is a provable no-op, bar its stall
+// counts, until an external event touches the core: no scheduled
+// wake-ups, and every scheduler with a ready active warp parked on a
+// stall its capacity test still confirms. A skipped core commits nothing,
+// so its MSHR occupancy cannot fall and its out-queue cannot change but
+// by the network popping it. Quiescence therefore ends only at a fill
+// delivery (HandleFill), a TLP/bypass change, a stream rebind (Unpark), a
+// restore, or an out-queue pop (PopRequest); the simulator wakes the core
+// at each, and may fast-forward it in between, crediting the skipped
+// cycles through CreditIdle.
 func (c *Core) Quiescent() bool {
 	if c.wheelBusy > 0 {
 		return false
 	}
 	for si := range c.scheds {
 		s := &c.scheds[si]
-		if s.readyMask&s.activeMask(c.tlp) != 0 {
+		ready := s.readyMask & s.activeMask(c.tlp)
+		if ready != 0 && !(s.parked(c.memEpoch, ready) && c.full(s.park.need, s.park.load)) {
 			return false
 		}
 	}
 	return true
+}
+
+// Parked returns how many schedulers are parked on a structural stall.
+// It re-classifies each parked warp's current instruction from scratch
+// and returns an error if any park records a different need than the
+// full issue path would compute. It changes nothing and serves tests and
+// invariant checks.
+func (c *Core) Parked() (int, error) {
+	n := 0
+	for si := range c.scheds {
+		s := &c.scheds[si]
+		ready := s.readyMask & s.activeMask(c.tlp)
+		if ready == 0 || !s.parked(c.memEpoch, ready) {
+			continue
+		}
+		n++
+		w := s.base + s.pick(ready)
+		inst := c.warps[w].stream.Current()
+		need, load := c.demand(inst)
+		if !inst.IsMem || need != s.park.need || load != s.park.load {
+			return n, fmt.Errorf("gpu: core %d scheduler %d parked on warp %d with need %d (load %v), its instruction needs %d (mem %v, load %v)",
+				c.ID, si, w, s.park.need, s.park.load, need, inst.IsMem, load)
+		}
+	}
+	return n, nil
 }
 
 // ActiveMemWait reports whether any warp inside the active TLP window is
@@ -452,14 +557,33 @@ func (c *Core) ActiveMemWait() bool {
 }
 
 // CreditIdle accounts n fast-forwarded cycles exactly as n quiescent Tick
-// calls would have: each is an idle cycle, and a memory stall when an
-// active warp was blocked on a fill.
+// calls would have: each is an idle cycle, a memory stall when an active
+// warp was blocked on a fill, and one issue abort per parked scheduler.
+// The parked schedulers cannot change while the core is skipped, so they
+// are counted here (ReadySchedulers) rather than sampled at quiescence
+// entry.
 func (c *Core) CreditIdle(n uint64, memWait bool) {
 	c.Stats.IdleCycles.Add(n)
 	c.Stats.FastForward.Add(n)
 	if memWait {
 		c.Stats.MemStall.Add(n)
 	}
+	c.Stats.StallMSHR.Add(n * uint64(c.ReadySchedulers()))
+}
+
+// ReadySchedulers counts the schedulers with a ready warp inside the TLP
+// limit. On a quiescent core these are exactly the parked schedulers: each
+// aborts one issue per skipped cycle, and an out-queue pop may clear its
+// stall. The count needs no park state, so it holds for a restored core.
+func (c *Core) ReadySchedulers() int {
+	n := 0
+	for si := range c.scheds {
+		s := &c.scheds[si]
+		if s.readyMask&s.activeMask(c.tlp) != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // NewWindow starts a new sampling window on the core and L1 counters.

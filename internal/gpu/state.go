@@ -86,7 +86,8 @@ func (c *Core) State() CoreState {
 // SetState restores the core from a snapshot taken on an identically
 // configured core. Out-queue requests are rebuilt as fresh values: the
 // engine only reads value fields of queued requests, so copies behave
-// identically to the originals.
+// identically to the originals. Scheduler parks are derived state, never
+// serialized: a restore drops them and the next Tick re-derives them.
 func (c *Core) SetState(st CoreState) error {
 	if len(st.PendingFills) != len(c.warps) {
 		return fmt.Errorf("gpu: core %d state has %d warps, core has %d", c.ID, len(st.PendingFills), len(c.warps))
@@ -97,6 +98,7 @@ func (c *Core) SetState(st CoreState) error {
 	if len(st.Wheel) != wheelSize {
 		return fmt.Errorf("gpu: core %d state has %d wheel slots, want %d", c.ID, len(st.Wheel), wheelSize)
 	}
+	c.memEpoch++
 	c.tlp = st.TLP
 	c.bypassL1 = st.BypassL1
 	for i := range c.warps {

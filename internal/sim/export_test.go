@@ -1,0 +1,27 @@
+package sim
+
+import "ebm/internal/gpu"
+
+// ParkedSchedulers counts the warp schedulers parked on a structural stall
+// across the machine. It fails if any park disagrees with a full
+// re-classification of its warp's instruction.
+func (s *Simulator) ParkedSchedulers() (int, error) {
+	n := 0
+	for _, c := range s.cores {
+		k, err := c.Parked()
+		if err != nil {
+			return n, err
+		}
+		n += k
+	}
+	return n, nil
+}
+
+// CoreStats returns a copy of every core's counters.
+func (s *Simulator) CoreStats() []gpu.CoreStats {
+	out := make([]gpu.CoreStats, len(s.cores))
+	for i, c := range s.cores {
+		out[i] = c.Stats
+	}
+	return out
+}

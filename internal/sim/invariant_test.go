@@ -1,0 +1,93 @@
+package sim
+
+import (
+	"testing"
+
+	"ebm/internal/config"
+	"ebm/internal/kernel"
+	"ebm/internal/metrics"
+	"ebm/internal/spec"
+	"ebm/internal/tlp"
+	"ebm/internal/workload"
+)
+
+// phasedBFS is BLK_BFS with BFS rotating, every 4k instructions, into a
+// more bandwidth-hungry kernel phase (the shape of paperfigs' phase
+// extra), so warp streams are rebound under parked schedulers.
+func phasedBFS() []kernel.Params {
+	apps := workload.MustMake("BLK", "BFS").Apps
+	bfs := &apps[1]
+	bfs.KernelInsts = 4 << 10
+	phase := *bfs
+	phase.Name, phase.KernelInsts = "", 0
+	phase.Rm, phase.CoalesceLines, phase.SharedFrac = 0.15, 2, 0.05
+	bfs.Phases = []kernel.Params{phase}
+	return apps
+}
+
+// TestWindowBoundaryInvariants runs a memory-saturated pair, a
+// compute-bound pair and a phase-rotating pair under online PBS-WS and
+// checks every core at every sampling window boundary: the L1 MSHR file
+// and the out-queue are within capacity, the TLP limit is a configured
+// level, every parked scheduler records the need a full re-classification
+// gives, and no fast-forwarded core has a scheduler whose stall test
+// would pass.
+func TestWindowBoundaryInvariants(t *testing.T) {
+	for _, run := range []struct {
+		name string
+		apps []kernel.Params
+	}{
+		{"BLK_BFS", workload.MustMake("BLK", "BFS").Apps},
+		{"NW_LUD", workload.MustMake("NW", "LUD").Apps},
+		{"BLK_BFSphased", phasedBFS()},
+	} {
+		t.Run(run.name, func(t *testing.T) {
+			cfg := config.Default()
+			var s *Simulator
+			var windows, parked, quietParked int
+			opts := Options{
+				Config:             cfg,
+				Apps:               run.apps,
+				Manager:            spec.MustManager(spec.PBS(metrics.ObjWS), 2),
+				TotalCycles:        100_000,
+				WarmupCycles:       10_000,
+				WindowCycles:       2_500,
+				DesignatedSampling: true,
+				OnWindow: func(sm tlp.Sample) {
+					windows++
+					for ci, c := range s.cores {
+						if n := c.OutstandingMisses(); n > cfg.L1MSHRs {
+							t.Errorf("window %d core %d: %d L1 MSHRs in use, capacity %d", windows, ci, n, cfg.L1MSHRs)
+						}
+						if !c.CanInject(0) {
+							t.Errorf("window %d core %d: out-queue holds %d requests, over its capacity", windows, ci, c.PendingRequests())
+						}
+						if config.LevelIndex(c.TLP()) < 0 {
+							t.Errorf("window %d core %d: TLP %d is not a configured level", windows, ci, c.TLP())
+						}
+						n, err := c.Parked()
+						if err != nil {
+							t.Errorf("window %d: %v", windows, err)
+						}
+						parked += n
+						if s.coreQuiet[ci] {
+							if !c.Quiescent() {
+								t.Errorf("window %d core %d: fast-forwarded with a scheduler that could issue", windows, ci)
+							}
+							quietParked += n
+						}
+					}
+				},
+			}
+			var err error
+			if s, err = New(opts); err != nil {
+				t.Fatal(err)
+			}
+			s.Run()
+			t.Logf("%d windows: %d parked schedulers seen at boundaries, %d of them on fast-forwarded cores", windows, parked, quietParked)
+			if run.name != "NW_LUD" && quietParked == 0 {
+				t.Error("the memory-saturated pair never fast-forwarded a parked core; the invariants went unexercised")
+			}
+		})
+	}
+}

@@ -87,10 +87,12 @@ func newSimObs(s *Simulator, o *obs.Observer) *simObs {
 		w.dramWrites = r.Counter("ebm_dram_writes_total", "DRAM write bursts")
 		w.dramBytes = r.Counter("ebm_dram_bytes_total", "DRAM data-bus bytes transferred")
 		w.refreshes = r.Counter("ebm_dram_refreshes_total", "all-bank refresh operations")
-		w.mshrStallL1 = r.Counter("ebm_mshr_stall_cycles_total",
-			"cycles stalled on a full MSHR file or queue", obs.L("level", "l1"))
-		w.mshrStallL2 = r.Counter("ebm_mshr_stall_cycles_total",
-			"cycles stalled on a full MSHR file or queue", obs.L("level", "l2"))
+		// The family keeps its historical name; at l1 it counts issue
+		// aborts, which are not cycles.
+		const mshrStallHelp = "structural stalls on a full MSHR file or queue: at l1, warp-scheduler issue aborts " +
+			"(up to one per scheduler per core cycle); at l2, memory cycles a partition's input head was blocked"
+		w.mshrStallL1 = r.Counter("ebm_mshr_stall_cycles_total", mshrStallHelp, obs.L("level", "l1"))
+		w.mshrStallL2 = r.Counter("ebm_mshr_stall_cycles_total", mshrStallHelp, obs.L("level", "l2"))
 		w.mshrOccL1 = r.Gauge("ebm_mshr_occupancy", "distinct lines in flight", obs.L("level", "l1"))
 		w.mshrOccL2 = r.Gauge("ebm_mshr_occupancy", "distinct lines in flight", obs.L("level", "l2"))
 		w.poolGets = r.Counter("ebm_request_pool_gets_total", "request-pool Gets")

@@ -253,10 +253,12 @@ type Simulator struct {
 	// simulator, touched only by the (single-goroutine) cycle loop.
 	pool *mem.Pool
 
-	// Idle fast-forward state: a quiescent core (no issuable warp, no
-	// scheduled wake-up) is not ticked; the cycles it would have spent
-	// idling are credited in bulk when an external event (fill delivery,
-	// TLP decision, window boundary, snapshot) next touches it.
+	// Idle fast-forward state: a quiescent core (no scheduled wake-up, and
+	// every scheduler with a ready warp parked on a structural stall) is
+	// not ticked; the cycles it would have spent idling are credited in
+	// bulk when an external event (fill delivery, TLP decision, out-queue
+	// pop under a parked scheduler, phase rebind, window boundary,
+	// snapshot) next touches it.
 	coreQuiet    []bool
 	quietFrom    []uint64 // first skipped cycle
 	quietMemWait []bool   // ActiveMemWait sampled at quiescence entry
@@ -497,10 +499,12 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 			}
 		}
 
-		// Cores execute. A core that reaches quiescence (no issuable warp,
-		// no scheduled wake-up) is fast-forwarded: its Tick is skipped
-		// until a fill or decision arrives, and the skipped idle cycles
-		// are credited in bulk at the next event or window boundary.
+		// Cores execute. A core that reaches quiescence (no scheduled
+		// wake-up, every ready scheduler parked) is fast-forwarded: its
+		// Tick is skipped until a fill, decision, phase rebind or, for a
+		// core with a parked scheduler, an out-queue pop arrives, and the
+		// skipped cycles are credited in bulk at the next event or window
+		// boundary.
 		for ci, c := range s.cores {
 			if s.coreQuiet[ci] {
 				continue
@@ -532,6 +536,10 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 			}
 			s.toMem.Push(dst, req, now)
 			s.coreInjectFree[ci] = now + uint64(req.Flits(s.cfg.IcntFlitSize, s.cfg.L1.LineBytes))
+			// The freed out-queue slot may clear a parked stall.
+			if s.coreQuiet[ci] && c.ReadySchedulers() > 0 {
+				s.wakeQuiet(ci, now+1)
+			}
 		}
 
 		// Memory clock domain.

@@ -223,6 +223,76 @@ func TestSnapshotEveryWindowFidelity(t *testing.T) {
 	}
 }
 
+// TestSnapshotWhileParked forks a memory-saturated run at the first
+// window boundary past warm-up where warp schedulers are parked on
+// structural stalls. Park state is derived and never serialized, so the
+// restored machine re-derives it; the resumed run must still match the
+// cold run bit for bit: its Result, every per-window sample, and every
+// core's counters, FastForward included.
+func TestSnapshotWhileParked(t *testing.T) {
+	opts := func(samples *[]tlp.Sample) sim.Options {
+		return sim.Options{
+			Config:             config.Default(),
+			Apps:               workload.MustMake("BLK", "BFS").Apps,
+			Manager:            pbscore.NewPBS(metrics.ObjWS),
+			TotalCycles:        60_000,
+			WarmupCycles:       10_000,
+			WindowCycles:       2_500,
+			DesignatedSampling: true,
+			OnWindow: func(s tlp.Sample) {
+				s.Apps = append([]tlp.AppSample(nil), s.Apps...)
+				*samples = append(*samples, s)
+			},
+		}
+	}
+	var coldSamples []tlp.Sample
+	var data []byte
+	var forkWindow uint64
+	var sinkErr error
+	o := opts(&coldSamples)
+	o.CkptSink = func(window uint64, s *sim.Simulator) error {
+		if data != nil || window*2_500 <= 10_000 {
+			return nil
+		}
+		n, err := s.ParkedSchedulers()
+		if err == nil && n > 0 {
+			data, err = s.SnapshotBytes()
+			forkWindow = window
+		}
+		sinkErr = err
+		return err
+	}
+	cold, err := sim.New(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cold.Run()
+	if sinkErr != nil {
+		t.Fatal(sinkErr)
+	}
+	if data == nil {
+		t.Fatal("no window boundary past warm-up had a parked scheduler")
+	}
+
+	var forkSamples []tlp.Sample
+	forked, err := sim.New(opts(&forkSamples))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := forked.RestoreBytes(data); err != nil {
+		t.Fatal(err)
+	}
+	if got := forked.Run(); !reflect.DeepEqual(got, want) {
+		t.Errorf("fork at window %d: Result diverged:\nforked: %+v\ncold:   %+v", forkWindow, got, want)
+	}
+	if !reflect.DeepEqual(forkSamples, coldSamples[forkWindow:]) {
+		t.Errorf("fork at window %d: per-window samples diverged", forkWindow)
+	}
+	if got, want := forked.CoreStats(), cold.CoreStats(); !reflect.DeepEqual(got, want) {
+		t.Errorf("fork at window %d: core counters diverged:\nforked: %+v\ncold:   %+v", forkWindow, got, want)
+	}
+}
+
 // TestSnapshotUnsupportedManager pins the degradation contract: a manager
 // without checkpoint support yields a Snapshot error (callers fall back
 // to cold execution), never a partial snapshot.

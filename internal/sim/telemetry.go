@@ -115,6 +115,14 @@ func (s *Simulator) buildSample(cycle uint64) tlp.Sample {
 				for _, ws := range s.appStreams[app] {
 					ws.SetPhase(next)
 				}
+				// A parked warp's instruction is regenerated under the
+				// new phase: drop the parks and tick parked cores again.
+				for _, ci := range s.appCores[app] {
+					if s.cores[ci].ReadySchedulers() > 0 {
+						s.wakeQuiet(ci, cycle)
+					}
+					s.cores[ci].Unpark()
+				}
 			}
 		}
 	}
