@@ -63,9 +63,13 @@ dsweep-chaos:
 # fuzz-smoke fuzzes stall parking (DESIGN.md §6) for 20 s: a parking core
 # and a reference core that re-classifies every stall must stay
 # bit-identical under fuzzed fills, pops, requeues, TLP/bypass changes
-# and phase rebinds. `go test` alone replays only the seeded corpus.
+# and phase rebinds. It then fuzzes offline PBS (DESIGN.md §4b) for 20 s:
+# on any 2-app EB surface the search must pick a grid combo within its
+# 19-probe / 18-cell budget, deterministically. `go test` alone replays
+# only the seeded corpora.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCorePark$$' -fuzztime 20s ./internal/gpu
+	$(GO) test -run '^$$' -fuzz '^FuzzPBSOffline$$' -fuzztime 20s ./internal/search
 
 # bench snapshots the substrate benchmarks into BENCH_*.json via
 # cmd/benchdiff; BENCH=BENCH_2.json picks the output file, and

@@ -128,8 +128,8 @@ func BenchmarkAblationNaive(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if c, _ := g.PBSOffline(ebm.EBEval(ebm.ObjWS, nil), nil); len(c) != 2 {
-			b.Fatal("search failed")
+		if c, err := g.PBSOffline(ebm.ObjWS, nil, nil); err != nil || len(c) != 2 {
+			b.Fatalf("search failed: %v", err)
 		}
 		if c, _ := g.Best(ebm.EBEval(ebm.ObjWS, nil)); len(c) != 2 {
 			b.Fatal("exhaustive failed")
@@ -180,7 +180,9 @@ func BenchmarkAblationScaling(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, scale := range [][]float64{nil, group, exact} {
-			g.PBSOfflineFI(scale, nil)
+			if _, err := g.PBSOffline(ebm.ObjFI, scale, nil); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -89,7 +89,10 @@ func ablSearchCost(e *Env, w io.Writer) error {
 			return err
 		}
 		wsEval := search.SDEval(metrics.ObjWS, aloneIPC)
-		pbsCombo, _ := g.PBSOffline(search.EBEval(metrics.ObjWS, nil), nil)
+		pbsCombo, err := g.PBSOffline(metrics.ObjWS, nil, nil)
+		if err != nil {
+			return err
+		}
 		naiveCombo, _ := g.Best(search.EBEval(metrics.ObjWS, nil))
 		rp, err := g.At(pbsCombo)
 		if err != nil {
@@ -173,15 +176,19 @@ func ablScaling(e *Env, w io.Writer) error {
 			return err
 		}
 		fiEval := search.SDEval(metrics.ObjFI, aloneIPC)
-		fiOf := func(scale []float64) float64 {
-			c, _ := g.PBSOfflineFI(scale, nil)
+		var vals [3]float64
+		for i, scale := range [][]float64{nil, group, exact} {
+			c, err := g.PBSOffline(metrics.ObjFI, scale, nil)
+			if err != nil {
+				return err
+			}
 			r, err := g.At(c)
 			if err != nil {
-				return 0
+				return err
 			}
-			return fiEval(r)
+			vals[i] = fiEval(r)
 		}
-		vNone, vGroup, vExact := fiOf(nil), fiOf(group), fiOf(exact)
+		vNone, vGroup, vExact := vals[0], vals[1], vals[2]
 		_, vOpt := g.Best(fiEval)
 		relG = append(relG, safeRatio(vGroup, vOpt))
 		relE = append(relE, safeRatio(vExact, vOpt))

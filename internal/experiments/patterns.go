@@ -106,8 +106,14 @@ func Fig7(e *Env, w io.Writer) error {
 	}
 	th.write(w)
 
-	fiCombo, _ := g.PBSOfflineFI(aloneEB, nil)
-	hsCombo, _ := g.PBSOffline(evalEBHS(aloneEB), nil)
+	fiCombo, err := g.PBSOffline(metrics.ObjFI, aloneEB, nil)
+	if err != nil {
+		return err
+	}
+	hsCombo, err := g.PBSOffline(metrics.ObjHS, aloneEB, nil)
+	if err != nil {
+		return err
+	}
 	aloneIPC, err := e.Suite.AloneIPC(wl.Names())
 	if err != nil {
 		return err

@@ -128,19 +128,25 @@ func TestEvaluators(t *testing.T) {
 
 func TestPBSOfflineReturnsValidCombo(t *testing.T) {
 	g := buildSmallGrid(t)
-	combo, val := g.PBSOffline(EBEval(metrics.ObjWS, nil), []int{1, 4, 24})
-	if len(combo) != 2 {
-		t.Fatal("combo shape")
+	combo, err := g.PBSOffline(metrics.ObjWS, nil, []int{1, 4, 24})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := g.At(combo); err != nil {
+	if len(combo) != 2 {
+		t.Fatalf("combo shape %v", combo)
+	}
+	r, err := g.At(combo)
+	if err != nil {
 		t.Fatalf("PBSOffline produced a non-grid combo %v", combo)
 	}
+	eval := EBEval(metrics.ObjWS, nil)
+	val := eval(r)
 	if val <= 0 {
 		t.Fatalf("value %v", val)
 	}
 	// The pattern search may be suboptimal but must not be catastrophic:
 	// within the (tiny) grid it should reach half the exhaustive best.
-	_, best := g.Best(EBEval(metrics.ObjWS, nil))
+	_, best := g.Best(eval)
 	if val < 0.5*best {
 		t.Fatalf("PBSOffline %v far below exhaustive %v", val, best)
 	}
@@ -149,7 +155,10 @@ func TestPBSOfflineReturnsValidCombo(t *testing.T) {
 func TestPBSOfflineFIReturnsValidCombo(t *testing.T) {
 	g := buildSmallGrid(t)
 	scale := []float64{1, 1}
-	combo, _ := g.PBSOfflineFI(scale, []int{1, 4, 24})
+	combo, err := g.PBSOffline(metrics.ObjFI, scale, []int{1, 4, 24})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := g.At(combo); err != nil {
 		t.Fatalf("bad combo %v", combo)
 	}
@@ -184,7 +193,10 @@ func TestThreeAppGrid(t *testing.T) {
 	if len(g.Combos()) != 8 {
 		t.Fatalf("%d combos, want 8", len(g.Combos()))
 	}
-	combo, _ := g.PBSOffline(EBEval(metrics.ObjWS, nil), []int{2, 24})
+	combo, err := g.PBSOffline(metrics.ObjWS, nil, []int{2, 24})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(combo) != 3 {
 		t.Fatalf("3-app PBS combo %v", combo)
 	}
@@ -217,7 +229,10 @@ func TestGridEvalOnSyntheticResults(t *testing.T) {
 	if val != 1.8 {
 		t.Fatalf("Best val = %v", val)
 	}
-	pc, pv := g.PBSOffline(eval, []int{1, 4, 24})
+	pc, err := g.PBSOffline(metrics.ObjWS, nil, []int{1, 4, 24})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Sweeps at co-24: app0 curve (t0 in 1,4,24 @ t1=24): 1.0, 1.4, 0.4
 	// -> drop 1.0, argmax at 4, own-EB cap 4 (collapse at 24).
 	// app1 curve (t1 @ t0=24): 0.8, 0.7, 0.4 -> drop 0.4.
@@ -226,10 +241,7 @@ func TestGridEvalOnSyntheticResults(t *testing.T) {
 		t.Fatalf("critical app pinned at %d, want 4 (combo %v)", pc[0], pc)
 	}
 	r, _ := g.At(pc)
-	if eval(r) != pv {
-		t.Fatal("PBSOffline value inconsistent")
-	}
-	if pv < 1.5 {
+	if pv := eval(r); pv < 1.5 {
 		t.Fatalf("pattern search landed poorly: %v -> %v", pc, pv)
 	}
 }
