@@ -31,6 +31,7 @@ import (
 	"ebm/internal/sim"
 	"ebm/internal/simcache"
 	"ebm/internal/spec"
+	"ebm/internal/tlp"
 	"ebm/internal/workload"
 )
 
@@ -456,6 +457,13 @@ func BenchmarkSimulatorCycles(b *testing.B) {
 	b.ReportMetric(float64(cycles*uint64(b.N))/b.Elapsed().Seconds(), "cycles/s")
 }
 
+// stablePhaser is the default maxTLP manager with a constant phase, so
+// the engine's per-window tlp.Phaser poll runs without changing a
+// decision.
+type stablePhaser struct{ tlp.Manager }
+
+func (stablePhaser) Phase() string { return "stable" }
+
 // BenchmarkSimulatorCyclesObs is BenchmarkSimulatorCycles with every
 // observability sink enabled (metrics registry, event journal, phase
 // polling). The Makefile's obs-bench target asserts its ns/op stays
@@ -469,14 +477,15 @@ func BenchmarkSimulatorCyclesObs(b *testing.B) {
 	observer := &obs.Observer{
 		Metrics: obs.NewRegistry(),
 		Journal: obs.NewJournal(),
-		PhaseFn: func() string { return "stable" },
 	}
+	mgr := stablePhaser{spec.MustManager(spec.MaxTLP(), len(wl.Apps))}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s, err := sim.New(sim.Options{
 			Config:      config.Default(),
 			Apps:        wl.Apps,
 			TotalCycles: cycles,
+			Manager:     mgr,
 			Obs:         observer,
 		})
 		if err != nil {

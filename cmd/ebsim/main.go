@@ -68,7 +68,6 @@ import (
 	"ebm/internal/ckpt"
 	"ebm/internal/cli"
 	"ebm/internal/config"
-	pbscore "ebm/internal/core"
 	"ebm/internal/faultinject"
 	"ebm/internal/kernel"
 	"ebm/internal/metrics"
@@ -267,9 +266,6 @@ func run(ctx context.Context) error {
 			observer.Journal = obs.NewJournal()
 		}
 		observer.Metrics = reg // nil unless -listen
-		if pbs, ok := mgr.(*pbscore.PBS); ok {
-			observer.PhaseFn = pbs.Phase
-		}
 	}
 	if *listen != "" {
 		srv, err := obs.Serve(*listen, observer.Metrics)
@@ -329,7 +325,7 @@ func run(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		runOpts.Manager = mgr // the instance observer.PhaseFn is wired to
+		runOpts.Manager = mgr // the -sandbox guard, when set
 		runOpts.Obs = observer
 		if inj != nil { // a typed-nil *Injector must not become a non-nil Hooks
 			runOpts.Hooks = inj

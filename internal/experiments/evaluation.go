@@ -161,7 +161,10 @@ func Fig12(e *Env, w io.Writer) error {
 }
 
 // Fig11 traces the TLP decisions of PBS-WS and PBS-FI over the execution
-// of BLK_BFS, with the searching (sampling) periods marked.
+// of BLK_BFS, with the searching (sampling) periods marked. Both come
+// from the run's journal: the bars are the EvAppWindow TLPs, and a window
+// is a search window when the last phase journaled before it is not
+// "stable".
 func Fig11(e *Env, w io.Writer) error {
 	header(w, "Fig. 11: TLP over time for BLK_BFS under PBS-WS and PBS-FI")
 	wl := workload.MustMake("BLK", "BFS")
@@ -173,8 +176,7 @@ func Fig11(e *Env, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		rec := obs.NewRecorder(len(wl.Apps))
-		rec.SearchingFn = mgr.Searching
+		j := obs.NewJournal()
 		// Twice the evaluation horizon so kernel-relaunch restarts (and
 		// the re-sampling periods around them) are visible.
 		s, err := sim.New(sim.Options{
@@ -185,27 +187,35 @@ func Fig11(e *Env, w io.Writer) error {
 			WarmupCycles:       e.Opt.EvalWarmup,
 			WindowCycles:       e.Opt.WindowCycles,
 			DesignatedSampling: true,
-			OnWindow:           rec.Hook,
+			Obs:                &obs.Observer{Journal: j},
 		})
 		if err != nil {
 			return err
 		}
 		s.Run()
+		tlps := make([][]obs.Point, len(wl.Apps))
+		phase, windows, searching := "", 0, 0
+		for _, ev := range j.Events() {
+			switch ev.Kind {
+			case obs.EvAppWindow:
+				tlps[ev.App] = append(tlps[ev.App], obs.Point{Cycle: ev.Cycle, Value: float64(ev.TLP)})
+			case obs.EvPhase:
+				phase = ev.Label
+			case obs.EvWindow:
+				windows++
+				if phase != "stable" {
+					searching++
+				}
+			}
+		}
 		fmt.Fprintf(w, "\n--- %s ---\n", variant.name)
 		for app := range wl.Apps {
 			fmt.Fprintf(w, "\nTLP-%s over time (bar height = TLP, max 24):\n%s",
-				wl.Apps[app].Name, obs.RenderASCII(rec.TLP[app], 24, 24))
-		}
-		searching := 0
-		for _, p := range rec.Searching.Points {
-			if p.Value > 0 {
-				searching++
-			}
+				wl.Apps[app].Name, obs.RenderASCII(tlps[app], 24, 24))
 		}
 		fmt.Fprintf(w, "\nsampling/search windows: %d of %d (%.0f%%); searches completed: %d; "+
 			"kernel-relaunch restarts: %d\n",
-			searching, len(rec.Searching.Points),
-			100*float64(searching)/float64(max(1, len(rec.Searching.Points))),
+			searching, windows, 100*float64(searching)/float64(max(1, windows)),
 			mgr.Searches(), mgr.Restarts())
 	}
 	fmt.Fprintf(w, "\npaper shape: a preferred combination holds for most of the run, with\n"+

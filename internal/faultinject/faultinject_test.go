@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"ebm/internal/tlp"
 )
 
 // callSequence drives a fixed hook sequence and returns the error pattern
@@ -147,5 +149,30 @@ func TestHeartbeatDropsAndDelays(t *testing.T) {
 
 	if err := (*Injector)(nil).Heartbeat("w"); err != nil {
 		t.Fatalf("nil injector dropped a beat: %v", err)
+	}
+}
+
+// phased is a manager with a phase (tlp.Phaser).
+type phased struct {
+	tlp.Manager
+	phase string
+}
+
+func (m phased) Phase() string { return m.phase }
+
+// TestWrapManagerDelegatesPhase: the chaos wrapper reports the inner
+// manager's phase, or "" when the inner manager has none, so sandboxed
+// chaos runs journal the same phases as plain ones.
+func TestWrapManagerDelegatesPhase(t *testing.T) {
+	static, err := tlp.NewStatic("s", []int{4, 8}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := New(Config{})
+	if p := WrapManager(phased{static, "sweep"}, in).(tlp.Phaser).Phase(); p != "sweep" {
+		t.Fatalf("phase = %q, want the inner manager's %q", p, "sweep")
+	}
+	if p := WrapManager(static, in).(tlp.Phaser).Phase(); p != "" {
+		t.Fatalf("phase of a manager without phases = %q", p)
 	}
 }

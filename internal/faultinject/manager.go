@@ -53,3 +53,12 @@ func (m *faultyManager) SetStateBytes(b []byte) error {
 	}
 	return fmt.Errorf("faultinject: manager %q does not support checkpointing", m.inner.Name())
 }
+
+// Phase implements tlp.Phaser by delegation: the inner manager's phase,
+// or "" when it has none.
+func (m *faultyManager) Phase() string {
+	if p, ok := m.inner.(tlp.Phaser); ok {
+		return p.Phase()
+	}
+	return ""
+}

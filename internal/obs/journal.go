@@ -23,8 +23,9 @@ const (
 	EvDecision
 	// EvWarmup marks the warmup boundary: metrics measurement starts here.
 	EvWarmup
-	// EvPhase records a policy phase transition (PBS init/scale/sweep/
-	// tune/stable); Label is the new phase name.
+	// EvPhase records a phase transition of the installed manager, read
+	// through tlp.Phaser (PBS init/scale/sweep/tune/stable); Label is the
+	// new phase name, "" for a manager without phases.
 	EvPhase
 	// EvKernel marks a kernel relaunch detected for App in this window.
 	EvKernel
@@ -185,13 +186,12 @@ func (j *Journal) Dropped() uint64 {
 }
 
 // Observer bundles the sinks the engine publishes into. Any field may be
-// nil; the engine checks once per window. PhaseFn, when set, is polled at
-// every window so phase transitions of the attached policy (e.g. PBS)
-// land in the journal without coupling the policy to this package.
+// nil; the engine checks once per window. With a journal attached the
+// engine also journals the installed manager's phase changes when that
+// manager is a tlp.Phaser (e.g. PBS).
 type Observer struct {
 	Metrics *Registry
 	Journal *Journal
-	PhaseFn func() string
 }
 
 // Enabled reports whether the observer has any live sink.

@@ -2,10 +2,11 @@
 // metrics registry (counters, gauges, and fixed-bucket histograms with
 // atomic values, safe to scrape from a concurrent HTTP handler while the
 // single-goroutine cycle engine publishes), a structured event journal
-// (TLP decisions, PBS phase transitions, window rollovers, the warmup
-// boundary, grid progress), and three exporters: Prometheus text format
-// (prom.go), Chrome trace-event JSON (chrometrace.go), and a per-window
-// CSV (csv.go).
+// (TLP decisions, the installed policy's phase transitions, window
+// rollovers, the warmup boundary, grid progress), three exporters:
+// Prometheus text format (prom.go), Chrome trace-event JSON
+// (chrometrace.go), and a per-window CSV (csv.go), and RenderASCII, the
+// text bar chart Fig. 11 draws from the journal's TLP series.
 //
 // The engine side is branch-on-nil: a nil Observer — or a nil Registry or
 // Journal inside one — costs a pointer compare at each sampling window and

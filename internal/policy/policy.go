@@ -54,10 +54,10 @@ type Options struct {
 	Obs *obs.Observer
 }
 
-// Guard wraps a tlp.Manager with the sandbox. It implements tlp.Manager
-// and tlp.Stater, delegating Name and checkpoint state to the wrapped
-// policy so reports, cache keys, and checkpoint compatibility are
-// unchanged by sandboxing.
+// Guard wraps a tlp.Manager with the sandbox. It implements tlp.Manager,
+// tlp.Stater and tlp.Phaser, delegating Name, checkpoint state and phase
+// to the wrapped policy so reports, cache keys, checkpoint compatibility
+// and journaled phases are unchanged by sandboxing.
 type Guard struct {
 	opts Options
 
@@ -67,6 +67,7 @@ type Guard struct {
 	numApps  int
 	lastGood tlp.Decision
 	labels   []string
+	phase    string // last phase read from inner
 
 	faults atomic.Uint64
 	swaps  atomic.Uint64
@@ -113,6 +114,7 @@ func Wrap(inner tlp.Manager, opts Options) *Guard {
 var (
 	_ tlp.Manager = (*Guard)(nil)
 	_ tlp.Stater  = (*Guard)(nil)
+	_ tlp.Phaser  = (*Guard)(nil)
 )
 
 // Close stops the budget worker goroutine. Call it once the run is done
@@ -357,4 +359,25 @@ func (g *Guard) SetStateBytes(b []byte) error {
 		return fmt.Errorf("policy: manager %q does not support checkpointing", g.inner.Name())
 	}
 	return st.SetStateBytes(b)
+}
+
+// Phase implements tlp.Phaser by delegation: the wrapped policy's phase,
+// or "" when it has none. While a timed-out decision is still running
+// the policy is not read (it may be mid-mutation); the phase last read
+// is reported instead.
+func (g *Guard) Phase() string {
+	g.mu.Lock()
+	inner, last := g.inner, g.phase
+	g.mu.Unlock()
+	if g.opts.Budget > 0 && g.busy.Load() {
+		return last
+	}
+	ph := ""
+	if p, ok := inner.(tlp.Phaser); ok {
+		ph = p.Phase()
+	}
+	g.mu.Lock()
+	g.phase = ph
+	g.mu.Unlock()
+	return ph
 }

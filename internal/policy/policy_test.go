@@ -182,6 +182,76 @@ func TestBudgetTimeoutAndRecovery(t *testing.T) {
 	}
 }
 
+// phasedMgr is a fakeMgr with a phase (tlp.Phaser) its OnSample sets.
+type phasedMgr struct {
+	fakeMgr
+	phase string
+}
+
+func (m *phasedMgr) Phase() string { return m.phase }
+
+// TestPhaseDelegation: the Guard reports the wrapped policy's phase, ""
+// for a policy without phases, and never reads the policy while a
+// timed-out decision is still running (it may be mid-mutation; -race
+// flags the read) — it repeats the phase it last read instead.
+func TestPhaseDelegation(t *testing.T) {
+	gate := make(chan struct{})
+	m := &phasedMgr{fakeMgr: fakeMgr{name: "phased"}, phase: "init"}
+	m.onSample = func(s tlp.Sample) tlp.Decision {
+		switch s.Cycle {
+		case 100:
+			m.phase = "sweep"
+		case 200:
+			m.phase = "tune"
+			<-gate
+		default:
+			m.phase = "stable"
+		}
+		return tlp.NewDecision(len(s.Apps), 8)
+	}
+	g := Wrap(m, Options{Budget: 20 * time.Millisecond})
+	defer g.Close()
+	g.Initial(2)
+	if p := g.Phase(); p != "init" {
+		t.Fatalf("phase after Initial = %q", p)
+	}
+	g.OnSample(sample(2, 100))
+	if p := g.Phase(); p != "sweep" {
+		t.Fatalf("phase after a clean decision = %q", p)
+	}
+
+	g.OnSample(sample(2, 200)) // stalls past the budget mid-mutation
+	g.OnSample(sample(2, 300)) // still running: faults fast
+	if g.Faults() != 2 {
+		t.Fatalf("faults = %d, want the timeout and the busy fault", g.Faults())
+	}
+	if p := g.Phase(); p != "sweep" {
+		t.Fatalf("phase during a stalled decision = %q, want the last read %q", p, "sweep")
+	}
+
+	close(gate) // let the abandoned decision finish
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		before := g.Faults()
+		g.OnSample(sample(2, 400))
+		if g.Faults() == before {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sandbox never recovered: %v", g.FaultLabels())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if p := g.Phase(); p != "stable" {
+		t.Fatalf("phase after recovery = %q", p)
+	}
+
+	plain := Wrap(&fakeMgr{name: "plain"}, Options{})
+	if p := plain.Phase(); p != "" {
+		t.Fatalf("phase of a policy without phases = %q", p)
+	}
+}
+
 func TestClosedGuardFaults(t *testing.T) {
 	m := &fakeMgr{name: "m", onSample: func(s tlp.Sample) tlp.Decision {
 		return tlp.NewDecision(len(s.Apps), 8)
@@ -346,6 +416,7 @@ func TestGuardConcurrentAccess(t *testing.T) {
 			g.Name()
 			g.FaultLabels()
 			g.Faults()
+			g.Phase()
 		}
 	}()
 	wg.Wait()

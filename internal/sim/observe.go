@@ -123,11 +123,40 @@ func newSimObs(s *Simulator, o *obs.Observer) *simObs {
 		w.latHist = r.Histogram("ebm_dram_window_read_latency", "per-window mean DRAM read latency in memory cycles",
 			[]float64{50, 100, 200, 400, 800, 1600, 3200})
 	}
-	if o.PhaseFn != nil {
-		w.lastPhase = o.PhaseFn()
-		w.j.Record(obs.Event{Cycle: 0, Kind: obs.EvPhase, App: -1, Label: w.lastPhase})
-	}
 	return w
+}
+
+// managerPhase is m's phase, or "" when m is not a tlp.Phaser.
+func managerPhase(m tlp.Manager) string {
+	if p, ok := m.(tlp.Phaser); ok {
+		return p.Phase()
+	}
+	return ""
+}
+
+// start opens the run's phase timeline: a fresh run journals the
+// manager's initial phase at cycle 0; a Restore()d run adopts the
+// restored phase silently, because the run it forks from journaled it.
+func (w *simObs) start(s *Simulator) {
+	if s.cycle == 0 {
+		w.phase(s, 0)
+	} else if w.j != nil {
+		w.lastPhase = managerPhase(s.opts.Manager)
+	}
+}
+
+// phase journals the installed manager's phase when it differs from the
+// last one journaled (initially none). A manager without phases reports
+// "", so swapping PBS for a static policy journals one empty label.
+// Polled only with a journal attached.
+func (w *simObs) phase(s *Simulator, cycle uint64) {
+	if w.j == nil {
+		return
+	}
+	if ph := managerPhase(s.opts.Manager); ph != w.lastPhase {
+		w.lastPhase = ph
+		w.j.Record(obs.Event{Cycle: cycle, Kind: obs.EvPhase, App: -1, Label: ph})
+	}
 }
 
 // decision journals a TLP-management decision as it is applied at the
@@ -244,12 +273,7 @@ func (w *simObs) window(s *Simulator, sample tlp.Sample, windows uint64) {
 		}
 	}
 
-	if w.o.PhaseFn != nil {
-		if ph := w.o.PhaseFn(); ph != w.lastPhase {
-			w.lastPhase = ph
-			w.j.Record(obs.Event{Cycle: sample.Cycle, Kind: obs.EvPhase, App: -1, Label: ph})
-		}
-	}
+	w.phase(s, sample.Cycle)
 
 	// The machine window event last: the CSV exporter uses it to flush
 	// the row assembled from the per-app events above.

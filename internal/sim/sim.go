@@ -479,6 +479,9 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 	// credits only the tail it simulates itself, never the restored
 	// prefix.
 	counted := s.cycle
+	if s.obsw != nil {
+		s.obsw.start(s)
+	}
 	// No initialization of cycle/windows/nextWindow: a fresh simulator
 	// starts at zero and a Restore()d one resumes where the snapshot left
 	// off, so the same loop serves cold runs and checkpoint forks.

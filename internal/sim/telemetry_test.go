@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	pbscore "ebm/internal/core"
 	"ebm/internal/kernel"
+	"ebm/internal/metrics"
 	"ebm/internal/obs"
 	"ebm/internal/tlp"
 )
@@ -156,6 +158,75 @@ func TestPartialFinalWindowDropped(t *testing.T) {
 	}
 	if lastWinCycle != 10_000 {
 		t.Fatalf("last journal window at cycle %d, want 10000 (partial window dropped)", lastWinCycle)
+	}
+}
+
+// TestPhaseEventsFromInstalledManager: with a journal-only observer the
+// engine journals the installed manager's tlp.Phaser phase. At every
+// window the latest EvPhase is what the manager reports after OnSample,
+// and hot-swapping PBS for a static manager (no phases) journals exactly
+// one further EvPhase, with an empty label.
+func TestPhaseEventsFromInstalledManager(t *testing.T) {
+	const swapAt = 30 // the swap is installed at window swapAt+1
+	j := obs.NewJournal()
+	pbs := pbscore.NewPBS(metrics.ObjWS)
+	phase := pbs.Phase
+	var want []string // the installed manager's phase, read in OnWindow
+	var s *Simulator
+	s, err := New(Options{
+		Config:             smallCfg(),
+		Apps:               []kernel.Params{app("BLK"), app("BFS")},
+		Manager:            pbs,
+		TotalCycles:        60_000,
+		WindowCycles:       1_000,
+		DesignatedSampling: true,
+		OnWindow: func(tlp.Sample) {
+			want = append(want, phase())
+			if len(want) == swapAt {
+				if err := s.SwapManager(staticMgr("static", []int{4, 4}, nil)); err != nil {
+					t.Fatal(err)
+				}
+				phase = func() string { return "" }
+			}
+		},
+		Obs: &obs.Observer{Journal: j},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+
+	latest, windows, afterSwap := "", 0, 0
+	phases := map[string]bool{}
+	for _, e := range j.Events() {
+		switch e.Kind {
+		case obs.EvPhase:
+			latest = e.Label
+			phases[e.Label] = true
+			if windows >= swapAt {
+				afterSwap++
+				if e.Label != "" {
+					t.Errorf("phase %q journaled after the swap to a static manager", e.Label)
+				}
+			}
+		case obs.EvWindow:
+			if windows >= len(want) {
+				t.Fatalf("journal has more windows than OnWindow saw (%d)", len(want))
+			}
+			if latest != want[windows] {
+				t.Fatalf("window %d: latest EvPhase %q, manager phase %q", windows+1, latest, want[windows])
+			}
+			windows++
+		}
+	}
+	if windows != len(want) || windows != 60 {
+		t.Fatalf("%d journal windows, %d OnWindow calls, want 60", windows, len(want))
+	}
+	if afterSwap != 1 {
+		t.Fatalf("%d EvPhase events after the swap, want exactly 1", afterSwap)
+	}
+	if len(phases) < 3 { // at least two PBS phases, then the empty one
+		t.Fatalf("journaled phases %v: PBS never changed phase before the swap", phases)
 	}
 }
 

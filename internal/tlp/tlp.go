@@ -132,6 +132,14 @@ type Manager interface {
 	OnSample(s Sample) Decision
 }
 
+// Phaser is implemented by managers that move through named phases (PBS:
+// init/scale/sweep/tune/stable). When a journal is attached the engine
+// polls the installed manager after every OnSample and journals each
+// change; a manager without phases reports none.
+type Phaser interface {
+	Phase() string
+}
+
 // Static runs every application at a fixed TLP combination for the whole
 // execution: it implements maxTLP, bestTLP, ++bestTLP, and the individual
 // combinations enumerated by the exhaustive searches.
