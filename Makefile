@@ -62,14 +62,18 @@ dsweep-chaos:
 
 # fuzz-smoke fuzzes stall parking (DESIGN.md §6) for 20 s: a parking core
 # and a reference core that re-classifies every stall must stay
-# bit-identical under fuzzed fills, pops, requeues, TLP/bypass changes
+# bit-identical under fuzzed fills, pops, peeks, TLP/bypass changes
 # and phase rebinds. It then fuzzes offline PBS (DESIGN.md §4b) for 20 s:
 # on any 2-app EB surface the search must pick a grid combo within its
-# 19-probe / 18-cell budget, deterministically. `go test` alone replays
-# only the seeded corpora.
+# 19-probe / 18-cell budget, deterministically. Last, it fuzzes the whole
+# engine for 20 s: on small fuzzed machines, workloads and scripted TLP
+# decisions, the fast engine, a fork restored from its snapshot and the
+# reference engine with every skip path off must agree bit for bit.
+# `go test` alone replays only the seeded corpora.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCorePark$$' -fuzztime 20s ./internal/gpu
 	$(GO) test -run '^$$' -fuzz '^FuzzPBSOffline$$' -fuzztime 20s ./internal/search
+	$(GO) test -run '^$$' -fuzz '^FuzzEngine$$' -fuzztime 20s ./internal/sim
 
 # bench snapshots the substrate benchmarks into BENCH_*.json via
 # cmd/benchdiff; BENCH=BENCH_2.json picks the output file, and

@@ -181,6 +181,17 @@ func (c *Cache) Access(lineAddr uint64, app int) (hit bool) {
 	return hit
 }
 
+// RecordMisses records n Access calls for lineAddr that all miss, without
+// the lookups. The caller must know the line is absent and stays absent.
+func (c *Cache) RecordMisses(lineAddr uint64, app int, n uint64) {
+	st := &c.Stats[app]
+	st.Accesses.Add(n)
+	st.Misses.Add(n)
+	if c.victimSet != nil && c.victimSet[c.tag(lineAddr)] > 0 && app < len(c.VTAHits) {
+		c.VTAHits[app].Add(n)
+	}
+}
+
 // Probe looks up lineAddr, updating recency on hit, without recording any
 // statistics. Used for write-through lookups that should not perturb the
 // miss-rate telemetry the paper's mechanism samples (it samples read/load

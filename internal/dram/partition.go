@@ -14,6 +14,7 @@ package dram
 
 import (
 	"fmt"
+	"math"
 
 	"ebm/internal/cache"
 	"ebm/internal/config"
@@ -99,6 +100,14 @@ type Stats struct {
 	LatencySum stats.Counter // read latency in mem cycles, summed
 }
 
+// qent is one FR-FCFS queue entry with the DRAM coordinates of its line,
+// decoded once when it is queued.
+type qent struct {
+	req  *mem.Request
+	row  int64
+	bank int
+}
+
 // Partition is one memory controller plus its L2 slice.
 type Partition struct {
 	ID  int
@@ -110,13 +119,19 @@ type Partition struct {
 	inqCap   int
 	mshr     *mem.MSHRTable[*mem.Request] // line -> read waiters in DRAM
 	pool     *mem.Pool                    // request free list (nil: plain allocation)
-	dramQ    []*mem.Request               // FR-FCFS queue
+	dramQ    []qent                       // FR-FCFS queue
 	dramQCap int
 
 	banks     []bank
 	busFreeAt uint64
 	lastActAt uint64
 	lastColAt uint64
+
+	// openHits[b] counts the dramQ entries that hit bank b's open row, and
+	// openHitsAll sums them, so a FR-FCFS pick with no possible row hit
+	// skips the scan. A bank is recounted only when its open row changes.
+	openHits    []int
+	openHitsAll int
 
 	events eventHeap
 
@@ -141,11 +156,24 @@ type Partition struct {
 	MSHRStalls stats.Counter
 	BusBusy    stats.Counter
 
-	// derived address mapping
+	// Sleep state, derived and never serialized. A partition whose Tick
+	// can do nothing but retry a stalled input-queue head is not ticked
+	// before wakeAt; each slept cycle from sleepFrom on is credited as
+	// the retry would have counted it: a read head's L2 miss and one
+	// MSHRStalls (stallRead), nothing for a write head or an empty queue.
+	wakeAt    uint64
+	sleepFrom uint64
+	stallRead bool
+
+	// reference turns off sleep and the row-hit count shortcut (SetReference).
+	reference bool
+
+	// derived address mapping and scheduling constants
 	interleave uint64
 	nparts     uint64
 	rowBytes   uint64
 	nbanks     uint64
+	horizon    uint64 // how far scheduling may run ahead of the data bus
 }
 
 // NewPartition builds partition id of the machine described by cfg with
@@ -167,6 +195,7 @@ func NewPartition(id int, cfg *config.GPU, numApps int) *Partition {
 		mshr:       mem.NewMSHRTable[*mem.Request](l2MSHRs),
 		dramQCap:   64,
 		banks:      make([]bank, cfg.BanksPerMC),
+		openHits:   make([]int, cfg.BanksPerMC),
 		l2LatMem:   l2LatMem,
 		Apps:       make([]Stats, numApps),
 		interleave: uint64(cfg.AddrInterleave),
@@ -174,6 +203,12 @@ func NewPartition(id int, cfg *config.GPU, numApps int) *Partition {
 		rowBytes:   uint64(cfg.RowBytes),
 		nbanks:     uint64(cfg.BanksPerMC),
 	}
+	// Scheduling may run ahead of the bus by enough to overlap bank
+	// preparation (precharge+activate+CAS) of the next requests with the
+	// current data bursts, as a pipelined controller does, while still
+	// bounding how stale the FR-FCFS decision can be.
+	t := &cfg.Timing
+	p.horizon = uint64(t.TRP + t.TRCD + t.TCL + 2*t.BL)
 	for i := range p.banks {
 		p.banks[i].openRow = -1
 	}
@@ -185,29 +220,50 @@ func NewPartition(id int, cfg *config.GPU, numApps int) *Partition {
 // garbage collector.
 func (p *Partition) SetPool(pool *mem.Pool) { p.pool = pool }
 
+// SetReference turns off the partition's fast paths, sleep and the
+// row-hit count shortcut, so it ticks every cycle and scans its whole
+// FR-FCFS queue. It serves the engine's reference mode in tests.
+func (p *Partition) SetReference() { p.reference = true }
+
 // CanAccept reports whether the input queue has room for another request;
 // the simulator uses it for interconnect back-pressure.
 func (p *Partition) CanAccept() bool { return len(p.inq) < p.inqCap }
 
-// Quiescent reports whether Tick is a provable no-op this cycle: nothing
-// queued at the L2, nothing in flight to DRAM, no pending completion
-// events, and no refresh modeling (refresh fires on a wall-clock schedule
-// and must observe every cycle). The simulator skips ticking quiescent
-// partitions; no counters advance on an idle partition, so the skip is
-// exact.
-func (p *Partition) Quiescent() bool {
-	return len(p.inq) == 0 && len(p.dramQ) == 0 && len(p.events) == 0 &&
-		p.cfg.Timing.TREFI <= 0
-}
+// WakeAt returns the first memory cycle the partition must be ticked at.
+// Before it the partition sleeps: a Tick would only retry a stalled
+// input-queue head, and Settle credits those retries instead.
+func (p *Partition) WakeAt() uint64 { return p.wakeAt }
 
 // Enqueue places a request arriving from the interconnect into the input
-// queue at memory cycle now. The caller must have checked CanAccept.
+// queue at memory cycle now. The caller must have checked CanAccept. A
+// request entering an empty input queue wakes a sleeping partition;
+// behind a stalled head it changes nothing a Tick would read.
 func (p *Partition) Enqueue(req *mem.Request, now uint64) {
 	if len(p.inq) >= p.inqCap {
 		panic("dram: Enqueue past capacity; caller must check CanAccept")
 	}
+	if len(p.inq) == 0 {
+		p.wakeAt = 0
+	}
 	req.MemBorn = now
 	p.inq = append(p.inq, req)
+}
+
+// Settle credits the cycles the partition slept through before memory
+// cycle upTo, so its counters read exactly as if every cycle had been
+// ticked. It does not wake the partition. The simulator settles at
+// window boundaries, at the warmup snapshot and when a run returns.
+func (p *Partition) Settle(upTo uint64) {
+	if upTo <= p.sleepFrom {
+		return
+	}
+	if p.stallRead {
+		n := upTo - p.sleepFrom
+		head := p.inq[0]
+		p.L2.RecordMisses(p.localAddr(head.LineAddr), head.App, n)
+		p.MSHRStalls.Add(n)
+	}
+	p.sleepFrom = upTo
 }
 
 // PopResponse removes one completed read reply, or returns nil.
@@ -250,12 +306,56 @@ func (p *Partition) bankAndRow(addr uint64) (int, int64) {
 	return int(rowIdx % p.nbanks), int64(rowIdx / p.nbanks)
 }
 
-// Tick advances the partition by one memory cycle.
+// Tick advances the partition by one memory cycle, first crediting any
+// cycles it slept through, and then works out how long it may sleep.
 func (p *Partition) Tick(now uint64) {
+	p.Settle(now)
 	p.maybeRefresh(now)
 	p.drainEvents(now)
-	p.acceptOne(now)
+	stalled := p.acceptOne(now)
 	p.scheduleDRAM(now)
+	p.sleep(now, stalled && p.headBlocked())
+}
+
+// headBlocked reports whether the input-queue head, having missed the L2
+// and found no MSHR entry to merge into, cannot enter the DRAM queue:
+// the queue is full, or for a read, the MSHR file is.
+func (p *Partition) headBlocked() bool {
+	return len(p.dramQ) >= p.dramQCap || p.inq[0].Kind != mem.WriteReq && p.mshr.Full()
+}
+
+// sleep sets wakeAt after the Tick at now. The following cycles are
+// no-ops but for the retry of a stalled head when the input-queue head is
+// absent or still stalled after this cycle's DRAM issue, and none of the
+// partition's clocks fires: the next completion event, the data bus
+// falling within the scheduling horizon (with requests queued), and the
+// next refresh. A stalled head stays stalled until one of those fires,
+// because only events change the L2 and the MSHRs, and only scheduling
+// shrinks the DRAM queue. An Enqueue into an empty input queue is the
+// fourth wake (Enqueue).
+func (p *Partition) sleep(now uint64, stalled bool) {
+	p.wakeAt, p.sleepFrom, p.stallRead = 0, now+1, false
+	if p.reference || len(p.inq) > 0 && !stalled {
+		return
+	}
+	wake := uint64(math.MaxUint64)
+	if len(p.events) > 0 {
+		wake = p.events[0].at
+	}
+	if len(p.dramQ) > 0 {
+		if p.busFreeAt <= now+1+p.horizon {
+			return
+		}
+		wake = min(wake, p.busFreeAt-p.horizon)
+	}
+	if p.cfg.Timing.TREFI > 0 {
+		wake = min(wake, p.nextRefresh)
+	}
+	if wake <= now+1 {
+		return
+	}
+	p.wakeAt = wake
+	p.stallRead = stalled && p.inq[0].Kind != mem.WriteReq
 }
 
 // maybeRefresh models all-bank refresh: every TREFI cycles the banks are
@@ -277,7 +377,9 @@ func (p *Partition) maybeRefresh(now uint64) {
 		if b.colReady < done {
 			b.colReady = done
 		}
+		p.openHits[i] = 0
 	}
+	p.openHitsAll = 0
 	if p.busFreeAt < done {
 		p.busFreeAt = done
 	}
@@ -301,7 +403,7 @@ func (p *Partition) drainEvents(now uint64) {
 				// are internally generated and cannot be back-pressured.
 				wb := p.pool.Get()
 				wb.Kind, wb.LineAddr, wb.App = mem.WriteReq, p.globalAddr(ev.LineAddr), ev.App
-				p.dramQ = append(p.dramQ, wb)
+				p.pushQ(wb)
 			}
 			p.Apps[app].LatencySum.Add(now - e.req.MemBorn)
 			waiters := p.mshr.Remove(line)
@@ -315,10 +417,11 @@ func (p *Partition) drainEvents(now uint64) {
 }
 
 // acceptOne dequeues at most one input request per memory cycle and probes
-// the L2. This matches the single tag-array port of the slice.
-func (p *Partition) acceptOne(now uint64) {
+// the L2. This matches the single tag-array port of the slice. It reports
+// whether the head stalled on a full MSHR file or DRAM queue.
+func (p *Partition) acceptOne(now uint64) (stalled bool) {
 	if len(p.inq) == 0 {
-		return
+		return false
 	}
 	req := p.inq[0]
 	app := req.App
@@ -330,36 +433,65 @@ func (p *Partition) acceptOne(now uint64) {
 		if p.L2.WriteProbe(p.localAddr(req.LineAddr)) {
 			p.popInq()
 			p.pool.Put(req) // absorbed by the L2: the message is dead
-			return
+			return false
 		}
 		if len(p.dramQ) >= p.dramQCap {
-			return // back-pressure: retry next cycle
+			return true // back-pressure: retry next cycle
 		}
-		p.dramQ = append(p.dramQ, req)
+		p.pushQ(req)
 		p.popInq()
-		return
+		return false
 	}
 
 	// Read path: record the L2 access in the app's windowed stats.
 	if p.L2.Access(p.localAddr(req.LineAddr), app) {
 		p.events.push(event{at: now + p.l2LatMem, kind: evL2Hit, req: req})
 		p.popInq()
-		return
+		return false
 	}
 	// L2 miss: merge into an existing MSHR entry if one is in flight.
 	if p.mshr.Append(req.LineAddr, req) {
 		p.popInq()
-		return
+		return false
 	}
-	if p.mshr.Full() || len(p.dramQ) >= p.dramQCap {
+	if p.headBlocked() {
 		// Structural stall; the head request retries next cycle and
 		// back-pressure propagates to the interconnect.
 		p.MSHRStalls.Inc()
-		return
+		return true
 	}
 	p.mshr.Add(req.LineAddr, req)
-	p.dramQ = append(p.dramQ, req)
+	p.pushQ(req)
 	p.popInq()
+	return false
+}
+
+// pushQ appends req to the FR-FCFS queue with its bank and row.
+func (p *Partition) pushQ(req *mem.Request) {
+	b, row := p.bankAndRow(req.LineAddr)
+	p.dramQ = append(p.dramQ, qent{req: req, row: row, bank: b})
+	if p.banks[b].openRow == row {
+		p.openHits[b]++
+		p.openHitsAll++
+	}
+}
+
+// recount recounts the queued hits on bank bi after its open row changed.
+func (p *Partition) recount(bi int) {
+	n := p.queuedHits(bi)
+	p.openHitsAll += n - p.openHits[bi]
+	p.openHits[bi] = n
+}
+
+// queuedHits counts the queued entries that hit bank bi's open row.
+func (p *Partition) queuedHits(bi int) int {
+	n, row := 0, p.banks[bi].openRow
+	for i := range p.dramQ {
+		if e := &p.dramQ[i]; e.bank == bi && e.row == row {
+			n++
+		}
+	}
+	return n
 }
 
 func (p *Partition) popInq() {
@@ -372,38 +504,30 @@ func (p *Partition) popInq() {
 // using FR-FCFS: the oldest request hitting an open row wins; if no queued
 // request hits an open row, the oldest request wins.
 func (p *Partition) scheduleDRAM(now uint64) {
-	if len(p.dramQ) == 0 {
-		return
-	}
-	// Allow scheduling to run ahead of the bus by enough to overlap bank
-	// preparation (precharge+activate+CAS) of the next requests with the
-	// current data bursts, as a pipelined controller does, while still
-	// bounding how stale the FR-FCFS decision can be.
-	t0 := &p.cfg.Timing
-	horizon := uint64(t0.TRP + t0.TRCD + t0.TCL + 2*t0.BL)
-	if p.busFreeAt > now+horizon {
+	if len(p.dramQ) == 0 || p.busFreeAt > now+p.horizon {
 		return
 	}
 	t := &p.cfg.Timing
 
 	pick := -1
-	for i, r := range p.dramQ {
-		b, row := p.bankAndRow(r.LineAddr)
-		if p.banks[b].openRow == row {
-			pick = i
-			break
+	if p.openHitsAll > 0 || p.reference {
+		for i := range p.dramQ {
+			if e := &p.dramQ[i]; p.banks[e.bank].openRow == e.row {
+				pick = i
+				break
+			}
 		}
 	}
 	rowHit := pick >= 0
 	if pick < 0 {
 		pick = 0
 	}
-	req := p.dramQ[pick]
+	e := p.dramQ[pick]
 	copy(p.dramQ[pick:], p.dramQ[pick+1:])
-	p.dramQ[len(p.dramQ)-1] = nil
+	p.dramQ[len(p.dramQ)-1] = qent{}
 	p.dramQ = p.dramQ[:len(p.dramQ)-1]
 
-	bi, row := p.bankAndRow(req.LineAddr)
+	req, bi, row := e.req, e.bank, e.row
 	b := &p.banks[bi]
 	app := req.App
 
@@ -412,6 +536,8 @@ func (p *Partition) scheduleDRAM(now uint64) {
 	case rowHit:
 		colAt = max(now, b.colReady, p.lastColAt+uint64(t.TCCD))
 		p.Apps[app].RowHits.Inc()
+		p.openHits[bi]--
+		p.openHitsAll--
 	case b.openRow < 0:
 		actAt := max(now, b.preDone, p.lastActAt+uint64(t.TRRD))
 		b.actAt = actAt
@@ -430,6 +556,9 @@ func (p *Partition) scheduleDRAM(now uint64) {
 		p.lastActAt = actAt
 		colAt = max(b.colReady, p.lastColAt+uint64(t.TCCD))
 		p.Apps[app].RowMisses.Inc()
+	}
+	if !rowHit {
+		p.recount(bi) // the bank opened row
 	}
 	// Serialize the data burst on the shared bus.
 	dataStart := max(colAt+uint64(t.TCL), p.busFreeAt)
@@ -477,6 +606,72 @@ func (p *Partition) NewWindow() {
 		a.DRAMWrites.NewWindow()
 		a.LatencySum.NewWindow()
 	}
+}
+
+// LiveRequests counts the distinct requests the partition holds: the
+// input and response queues, the L2 MSHR waiters, queued write-backs and
+// stores, and pending L2 hits. A DRAM read in the queue or in flight is
+// also its line's first MSHR waiter and is counted there once. It serves
+// request-conservation checks.
+func (p *Partition) LiveRequests() int {
+	n := len(p.inq) + len(p.resp)
+	_, waiters := p.mshr.Entries()
+	for _, ws := range waiters {
+		n += len(ws)
+	}
+	for _, e := range p.dramQ {
+		if e.req.Kind == mem.WriteReq {
+			n++
+		}
+	}
+	for _, e := range p.events {
+		if e.kind == evL2Hit {
+			n++
+		}
+	}
+	return n
+}
+
+// CheckInvariants verifies the partition's derived state at memory cycle
+// now, changing nothing: the row-hit counts match a recount of the queue,
+// and if the partition sleeps through now, its sleep still holds — no
+// event, bus-horizon opening or refresh falls before its wake, and the
+// input-queue head is absent or still stalled, as credited.
+func (p *Partition) CheckInvariants(now uint64) error {
+	all := 0
+	for bi := range p.banks {
+		n := p.queuedHits(bi)
+		if n != p.openHits[bi] {
+			return fmt.Errorf("dram: partition %d bank %d: %d queued row hits counted, %d queued", p.ID, bi, p.openHits[bi], n)
+		}
+		all += n
+	}
+	if all != p.openHitsAll {
+		return fmt.Errorf("dram: partition %d: %d row hits in total, banks sum to %d", p.ID, p.openHitsAll, all)
+	}
+	if now >= p.wakeAt {
+		return nil
+	}
+	switch {
+	case len(p.events) > 0 && p.events[0].at < p.wakeAt:
+		return fmt.Errorf("dram: partition %d sleeps to %d past an event at %d", p.ID, p.wakeAt, p.events[0].at)
+	case len(p.dramQ) > 0 && p.busFreeAt < p.wakeAt+p.horizon:
+		return fmt.Errorf("dram: partition %d sleeps to %d, the bus gate opens at %d", p.ID, p.wakeAt, p.busFreeAt-p.horizon)
+	case p.cfg.Timing.TREFI > 0 && p.nextRefresh < p.wakeAt:
+		return fmt.Errorf("dram: partition %d sleeps to %d past a refresh at %d", p.ID, p.wakeAt, p.nextRefresh)
+	case len(p.inq) == 0:
+		if p.stallRead {
+			return fmt.Errorf("dram: partition %d credits a stalled read with an empty input queue", p.ID)
+		}
+		return nil
+	}
+	head := p.inq[0]
+	read := head.Kind != mem.WriteReq
+	stalled := p.headBlocked() && !p.L2.Contains(p.localAddr(head.LineAddr)) && !(read && p.mshr.Contains(head.LineAddr))
+	if !stalled || read != p.stallRead {
+		return fmt.Errorf("dram: partition %d sleeps to %d, its head (read %v, credited %v) is not stalled", p.ID, p.wakeAt, read, p.stallRead)
+	}
+	return nil
 }
 
 // String summarizes the partition state for diagnostics.

@@ -89,8 +89,8 @@ func (p *Partition) State() PartitionState {
 		}
 		st.MSHRWaiters[i] = vs
 	}
-	for _, r := range p.dramQ {
-		st.DramQ = append(st.DramQ, *r)
+	for _, e := range p.dramQ {
+		st.DramQ = append(st.DramQ, *e.req)
 	}
 	for i := range p.banks {
 		b := &p.banks[i]
@@ -119,7 +119,9 @@ func (p *Partition) State() PartitionState {
 // SetState restores the partition from a snapshot taken on an identically
 // configured partition. The event heap array is restored verbatim: it was
 // captured from a valid heap, and the sift functions are deterministic
-// over the array order.
+// over the array order. Derived state is rebuilt: the queue's bank/row
+// decode and row-hit counts are recomputed, and the partition wakes (it
+// is ticked next cycle and works out its sleep again).
 func (p *Partition) SetState(st PartitionState) error {
 	if len(st.Banks) != len(p.banks) {
 		return fmt.Errorf("dram: partition %d state has %d banks, partition has %d", p.ID, len(st.Banks), len(p.banks))
@@ -150,13 +152,15 @@ func (p *Partition) SetState(st PartitionState) error {
 	if err := p.mshr.SetEntries(st.MSHRLines, waiters); err != nil {
 		return fmt.Errorf("dram: partition %d: %w", p.ID, err)
 	}
-	p.dramQ = p.dramQ[:0]
-	for _, v := range st.DramQ {
-		p.dramQ = append(p.dramQ, clone(v))
-	}
 	for i := range p.banks {
 		b := st.Banks[i]
 		p.banks[i] = bank{openRow: b.OpenRow, actAt: b.ActAt, colReady: b.ColReady, lastColAt: b.LastColAt, preDone: b.PreDone}
+		p.openHits[i] = 0
+	}
+	p.openHitsAll = 0
+	p.dramQ = p.dramQ[:0]
+	for _, v := range st.DramQ {
+		p.pushQ(clone(v))
 	}
 	p.busFreeAt = st.BusFreeAt
 	p.lastActAt = st.LastActAt
@@ -183,5 +187,6 @@ func (p *Partition) SetState(st PartitionState) error {
 	p.nextRefresh = st.NextRefresh
 	p.MSHRStalls.SetState(st.MSHRStalls)
 	p.BusBusy.SetState(st.BusBusy)
+	p.wakeAt, p.sleepFrom, p.stallRead = 0, 0, false
 	return nil
 }

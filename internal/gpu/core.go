@@ -189,6 +189,15 @@ func (c *Core) BypassL1() bool { return c.bypassL1 }
 // CanInject reports whether the out-queue has room for n more requests.
 func (c *Core) CanInject(n int) bool { return len(c.outq)+n <= c.outqCap }
 
+// PeekRequest returns the next request destined for the interconnect
+// without removing it, or nil.
+func (c *Core) PeekRequest() *mem.Request {
+	if len(c.outq) == 0 {
+		return nil
+	}
+	return c.outq[0]
+}
+
 // PopRequest removes the next request destined for the interconnect.
 func (c *Core) PopRequest() *mem.Request {
 	if len(c.outq) == 0 {
@@ -203,14 +212,6 @@ func (c *Core) PopRequest() *mem.Request {
 
 // PendingRequests returns the out-queue depth.
 func (c *Core) PendingRequests() int { return len(c.outq) }
-
-// RequeueFront restores a popped request to the head of the out-queue
-// (the simulator's one-entry skid buffer for network back-pressure).
-func (c *Core) RequeueFront(r *mem.Request) {
-	c.outq = append(c.outq, nil)
-	copy(c.outq[1:], c.outq)
-	c.outq[0] = r
-}
 
 // OutstandingMisses returns the number of distinct lines in flight.
 func (c *Core) OutstandingMisses() int { return c.mshr.Len() }

@@ -288,7 +288,7 @@ func TestMSHRMergeSameLine(t *testing.T) {
 	}
 }
 
-func TestRequeueFrontPreservesOrder(t *testing.T) {
+func TestPeekRequestPreservesOrder(t *testing.T) {
 	cfg := machine()
 	c := newCore(t, cfg, memHeavy())
 	c.SetTLP(4)
@@ -298,10 +298,13 @@ func TestRequeueFrontPreservesOrder(t *testing.T) {
 	if c.PendingRequests() < 2 {
 		t.Skip("not enough traffic")
 	}
-	first := c.PopRequest()
-	c.RequeueFront(first)
+	n := c.PendingRequests()
+	first := c.PeekRequest()
+	if c.PendingRequests() != n {
+		t.Fatal("PeekRequest removed the head")
+	}
 	if got := c.PopRequest(); got != first {
-		t.Fatal("RequeueFront lost head position")
+		t.Fatal("PopRequest did not return the peeked head")
 	}
 }
 

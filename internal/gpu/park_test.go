@@ -50,7 +50,7 @@ func parkCore(cfg *config.GPU, p *kernel.Params) *Core {
 
 // FuzzCorePark checks stall parking and the quiescence it enables against
 // the full issue path. Two identical cores run the same fuzzed schedule of
-// fills, out-queue pops (some put back with RequeueFront), TLP and bypass
+// fills, out-queue pops (some only peeked at), TLP and bypass
 // changes, and kernel phase rebinds. The reference core has its parks
 // dropped before every Tick, so it re-classifies every stalled instruction
 // from scratch. The parking core is driven the way the simulator drives
@@ -124,17 +124,18 @@ func FuzzCorePark(f *testing.F) {
 			b.dropParks()
 			b.Tick(now)
 
-			// The network pops up to three requests; bit 2 puts the last
-			// one back, as the simulator's skid buffer does.
+			// The network pops up to three requests; bit 2 only peeks at
+			// the last one, as the simulator does when the network is full.
 			for n := int(op & 3); n > 0 && a.PendingRequests() > 0; n-- {
+				if n == 1 && op&4 != 0 {
+					if ra, rb := a.PeekRequest(), b.PeekRequest(); rb == nil || *ra != *rb {
+						t.Fatalf("cycle %d: peeked %+v, reference peeked %+v", now, ra, rb)
+					}
+					continue
+				}
 				ra, rb := a.PopRequest(), b.PopRequest()
 				if rb == nil || *ra != *rb {
 					t.Fatalf("cycle %d: popped %+v, reference popped %+v", now, ra, rb)
-				}
-				if n == 1 && op&4 != 0 {
-					a.RequeueFront(ra)
-					b.RequeueFront(rb)
-					continue
 				}
 				quiet = false
 				if ra.Kind == mem.ReadReq {

@@ -12,6 +12,7 @@ package icnt
 
 import (
 	"fmt"
+	"math"
 
 	"ebm/internal/mem"
 )
@@ -63,6 +64,11 @@ type Network struct {
 	queues    []fifo   // per destination, ordered by readyAt
 	portFree  []uint64 // per destination, first cycle the port is free
 	inFlight  int
+
+	// nextReady is a lower bound on every queue head's readyAt: Push
+	// lowers it and a PopReady pass recomputes it (a Pop leaves it low,
+	// which is still a bound). It is derived and never serialized.
+	nextReady uint64
 }
 
 // New builds one crossbar direction with dsts output ports. latency is the
@@ -79,6 +85,7 @@ func New(dsts, latency, flitBytes, lineBytes int) *Network {
 		lineBytes: lineBytes,
 		queues:    make([]fifo, dsts),
 		portFree:  make([]uint64, dsts),
+		nextReady: math.MaxUint64,
 	}
 }
 
@@ -96,6 +103,7 @@ func (n *Network) Push(dst int, req *mem.Request, now uint64) {
 	n.portFree[dst] = done + 1
 	n.queues[dst].push(pkt{readyAt: done, req: req})
 	n.inFlight++
+	n.nextReady = min(n.nextReady, done)
 }
 
 // Pop removes and returns the next message available at output port dst by
@@ -110,6 +118,34 @@ func (n *Network) Pop(dst int, now uint64) *mem.Request {
 	n.inFlight--
 	return p.req
 }
+
+// PopReady makes one pass over the output ports in order, popping every
+// head available by cycle now whose port accept admits (nil admits all)
+// and handing it to deliver. The pass recomputes the next-ready bound
+// from the heads it leaves behind.
+func (n *Network) PopReady(now uint64, accept func(dst int) bool, deliver func(dst int, req *mem.Request)) {
+	n.nextReady = math.MaxUint64
+	for d := range n.queues {
+		q := &n.queues[d]
+		head := q.peek()
+		if head == nil {
+			continue
+		}
+		if head.readyAt <= now && (accept == nil || accept(d)) {
+			n.inFlight--
+			deliver(d, q.pop().req)
+			if head = q.peek(); head == nil {
+				continue
+			}
+		}
+		n.nextReady = min(n.nextReady, head.readyAt)
+	}
+}
+
+// NextReady returns a lower bound on the first cycle any message becomes
+// available at any output port (math.MaxUint64 when the network is
+// empty): no pop before it returns a message.
+func (n *Network) NextReady() uint64 { return n.nextReady }
 
 // Pending returns the number of messages queued for output port dst.
 func (n *Network) Pending(dst int) int { return n.queues[dst].len() }

@@ -50,6 +50,7 @@ func (n *Network) SetState(st NetworkState) error {
 	}
 	copy(n.portFree, st.PortFree)
 	n.inFlight = 0
+	n.nextReady = 0 // a bound until the first PopReady pass
 	for d := range n.queues {
 		n.queues[d] = fifo{}
 		for _, p := range st.Queues[d] {

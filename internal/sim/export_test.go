@@ -17,6 +17,22 @@ func (s *Simulator) ParkedSchedulers() (int, error) {
 	return n, nil
 }
 
+// newReference builds a simulator with every skip path turned off: no
+// core fast-forward, no partition sleep, a full FR-FCFS scan on every
+// pick, and a network pass every cycle. It is the slow twin the fast
+// engine must match bit for bit.
+func newReference(opts Options) (*Simulator, error) {
+	s, err := New(opts)
+	if err != nil {
+		return nil, err
+	}
+	s.reference = true
+	for _, p := range s.partitions {
+		p.SetReference()
+	}
+	return s, nil
+}
+
 // CoreStats returns a copy of every core's counters.
 func (s *Simulator) CoreStats() []gpu.CoreStats {
 	out := make([]gpu.CoreStats, len(s.cores))

@@ -27,11 +27,17 @@ func phasedBFS() []kernel.Params {
 
 // TestWindowBoundaryInvariants runs a memory-saturated pair, a
 // compute-bound pair and a phase-rotating pair under online PBS-WS and
-// checks every core at every sampling window boundary: the L1 MSHR file
-// and the out-queue are within capacity, the TLP limit is a configured
-// level, every parked scheduler records the need a full re-classification
-// gives, and no fast-forwarded core has a scheduler whose stall test
-// would pass.
+// checks the machine at every sampling window boundary. Every core: the
+// L1 MSHR file and the out-queue are within capacity, the TLP limit is a
+// configured level, every parked scheduler records the need a full
+// re-classification gives, and no fast-forwarded core has a scheduler
+// whose stall test would pass. Every partition: its row-hit counts match
+// its queue, and a sleeping partition has no event, bus-gate opening or
+// refresh before its wake and a head that is still stalled. Requests are
+// conserved: every request taken from the pool and not yet recycled sits
+// in exactly one place — a core out-queue, either network, or a
+// partition (input queue, L2 MSHR waiters, queued write, pending L2 hit
+// or response queue).
 func TestWindowBoundaryInvariants(t *testing.T) {
 	for _, run := range []struct {
 		name string
@@ -44,7 +50,7 @@ func TestWindowBoundaryInvariants(t *testing.T) {
 		t.Run(run.name, func(t *testing.T) {
 			cfg := config.Default()
 			var s *Simulator
-			var windows, parked, quietParked int
+			var windows, parked, quietParked, asleep int
 			opts := Options{
 				Config:             cfg,
 				Apps:               run.apps,
@@ -77,6 +83,22 @@ func TestWindowBoundaryInvariants(t *testing.T) {
 							quietParked += n
 						}
 					}
+					held := s.toMem.InFlight() + s.toCore.InFlight()
+					for _, c := range s.cores {
+						held += c.PendingRequests()
+					}
+					for _, p := range s.partitions {
+						if err := p.CheckInvariants(s.memCycle); err != nil {
+							t.Errorf("window %d: %v", windows, err)
+						}
+						if s.memCycle < p.WakeAt() {
+							asleep++
+						}
+						held += p.LiveRequests()
+					}
+					if live := s.pool.Gets() - s.pool.Recycles(); live != uint64(held) {
+						t.Errorf("window %d: %d requests live in the pool, %d held by the machine", windows, live, held)
+					}
 				},
 			}
 			var err error
@@ -84,9 +106,12 @@ func TestWindowBoundaryInvariants(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.Run()
-			t.Logf("%d windows: %d parked schedulers seen at boundaries, %d of them on fast-forwarded cores", windows, parked, quietParked)
+			t.Logf("%d windows: %d parked schedulers seen at boundaries, %d of them on fast-forwarded cores; %d sleeping partitions", windows, parked, quietParked, asleep)
 			if run.name != "NW_LUD" && quietParked == 0 {
 				t.Error("the memory-saturated pair never fast-forwarded a parked core; the invariants went unexercised")
+			}
+			if asleep == 0 {
+				t.Error("no partition was asleep at a window boundary; the sleep invariants went unexercised")
 			}
 		})
 	}

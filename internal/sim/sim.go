@@ -267,6 +267,17 @@ type Simulator struct {
 	memCycle uint64
 	memAcc   float64
 
+	// Machine constants the cycle loop reads, hoisted out of config.GPU
+	// (whose value-receiver methods copy the struct on every call).
+	memPerCore float64 // memory cycles per core cycle
+	interleave uint64  // address interleave chunk in bytes
+	nparts     uint64  // memory partitions
+
+	// reference turns off every skip path (core fast-forward, partition
+	// sleep and row-hit counts, the network next-ready skip) so tests can
+	// check the fast engine against it. Only tests set it.
+	reference bool
+
 	// Window progress lives on the simulator (not as Run locals) so a
 	// restored run resumes mid-schedule: windows counts completed sampling
 	// windows, nextWindow is the cycle the next boundary fires at.
@@ -322,6 +333,9 @@ func New(opts Options) (*Simulator, error) {
 		instAtLaunch:   make([]uint64, len(opts.Apps)),
 		kernels:        make([]uint64, len(opts.Apps)),
 		tlpAccum:       make([]float64, len(opts.Apps)),
+		memPerCore:     cfg.MemCyclesPerCoreCycle(),
+		interleave:     uint64(cfg.AddrInterleave),
+		nparts:         uint64(cfg.NumMemPartitions),
 	}
 	s.nextWindow = opts.WindowCycles
 
@@ -482,6 +496,16 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 	if s.obsw != nil {
 		s.obsw.start(s)
 	}
+	// The network passes hand their messages to these.
+	accept := func(pi int) bool { return s.partitions[pi].CanAccept() }
+	enqueue := func(pi int, req *mem.Request) { s.partitions[pi].Enqueue(req, s.memCycle) }
+	deliver := func(ci int, resp *mem.Request) {
+		// A fill ends the core's quiescence (the woken warp may issue
+		// next cycle); the reply itself is consumed and recycled.
+		s.wakeQuiet(ci, s.cycle+1)
+		s.cores[ci].HandleFill(resp.LineAddr)
+		s.pool.Put(resp)
+	}
 	// No initialization of cycle/windows/nextWindow: a fresh simulator
 	// starts at zero and a Restore()d one resumes where the snapshot left
 	// off, so the same loop serves cold runs and checkpoint forks.
@@ -513,7 +537,7 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 				continue
 			}
 			c.Tick(now)
-			if c.Quiescent() {
+			if !s.reference && c.Quiescent() {
 				s.coreQuiet[ci] = true
 				s.quietFrom[ci] = now + 1
 				s.quietMemWait[ci] = c.ActiveMemWait()
@@ -523,20 +547,18 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 		// Core -> memory injection (one message at a time per core, with
 		// flit serialization at the source port).
 		for ci, c := range s.cores {
-			if now < s.coreInjectFree[ci] || c.PendingRequests() == 0 {
+			if now < s.coreInjectFree[ci] {
 				continue
 			}
-			// Peek destination via the queued head by popping only when
-			// the network has room.
-			req := c.PopRequest()
-			dst := s.cfg.PartitionOf(req.LineAddr)
+			req := c.PeekRequest()
+			if req == nil {
+				continue
+			}
+			dst := int((req.LineAddr / s.interleave) % s.nparts) // config.GPU.PartitionOf
 			if s.toMem.Pending(dst) >= networkCap {
-				// Put it back by re-queueing at the front is not possible;
-				// instead stall the whole port this cycle. To keep FIFO
-				// semantics we re-inject through a one-slot skid buffer.
-				s.pushBack(c, req)
-				continue
+				continue // back-pressure: the head waits in the out-queue
 			}
+			c.PopRequest()
 			s.toMem.Push(dst, req, now)
 			s.coreInjectFree[ci] = now + uint64(req.Flits(s.cfg.IcntFlitSize, s.cfg.L1.LineBytes))
 			// The freed out-queue slot may clear a parked stall.
@@ -545,20 +567,19 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 			}
 		}
 
-		// Memory clock domain.
-		s.memAcc += s.cfg.MemCyclesPerCoreCycle()
+		// Memory clock domain: each partition with input-queue room takes
+		// one arrived request, then every partition that is awake ticks
+		// (a sleeping one is credited its slept cycles when it wakes or
+		// settles). The network pass is skipped while no message can have
+		// arrived.
+		s.memAcc += s.memPerCore
 		for s.memAcc >= 1 {
 			s.memAcc--
+			if s.reference || s.toMem.NextReady() <= now {
+				s.toMem.PopReady(now, accept, enqueue)
+			}
 			for _, p := range s.partitions {
-				if p.CanAccept() {
-					if req := s.toMem.Pop(p.ID, now); req != nil {
-						p.Enqueue(req, s.memCycle)
-					}
-				}
-				// A partition with nothing queued, no in-flight DRAM
-				// events and no refresh clock is a provable no-op; skip
-				// the Tick entirely.
-				if !p.Quiescent() {
+				if s.memCycle >= p.WakeAt() {
 					p.Tick(s.memCycle)
 				}
 			}
@@ -576,15 +597,9 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 			}
 		}
 
-		// Deliver responses. A fill ends the destination core's quiescence
-		// (the woken warp may issue next cycle); the reply object itself is
-		// consumed here and recycled to the pool.
-		for ci, c := range s.cores {
-			if resp := s.toCore.Pop(ci, now); resp != nil {
-				s.wakeQuiet(ci, now+1)
-				c.HandleFill(resp.LineAddr)
-				s.pool.Put(resp)
-			}
+		// Deliver responses, unless none can have arrived.
+		if s.reference || s.toCore.NextReady() <= now {
+			s.toCore.PopReady(now, nil, deliver)
 		}
 
 		// Sampling window boundary.
@@ -592,11 +607,13 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 			s.windows++
 			addWork(now + 1 - counted)
 			counted = now + 1
-			// Settle fast-forwarded counters so the window telemetry is
-			// exact; quiescent cores stay skipped.
+			// Settle fast-forwarded and slept counters so the window
+			// telemetry is exact; quiescent cores and sleeping partitions
+			// stay skipped.
 			for ci := range s.cores {
 				s.creditQuiet(ci, now+1)
 			}
+			s.settlePartitions()
 			sample := s.buildSample(now + 1)
 			var d tlp.Decision
 			swapped := false
@@ -695,13 +712,6 @@ func (s *Simulator) partial(windows uint64) Result {
 		return Result{Windows: windows}
 	}
 	return s.result(windows)
-}
-
-func (s *Simulator) pushBack(c *gpu.Core, req *mem.Request) {
-	// The core's out-queue is FIFO-popped; restore the head. gpu.Core
-	// exposes only Pop, so the simulator keeps the skid entry itself by
-	// re-pushing through a tiny helper on the core.
-	c.RequeueFront(req)
 }
 
 // Cycle returns the current core cycle (testing hook).

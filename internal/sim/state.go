@@ -98,8 +98,9 @@ type EngineState struct {
 // captured raw), so taking snapshots cannot perturb a run's results.
 // Valid after RunContext returns (the state resumes at the cycle the run
 // stopped at) and inside a CkptSink callback (the state resumes at the
-// first cycle of the next window). It fails if the TLP manager does not
-// implement tlp.Stater.
+// first cycle of the next window); at both points every sleeping
+// partition's counters are settled, and its sleep, being derived, is not
+// captured. It fails if the TLP manager does not implement tlp.Stater.
 func (s *Simulator) Snapshot() (*EngineState, error) {
 	mgr, ok := s.opts.Manager.(tlp.Stater)
 	if !ok {

@@ -155,6 +155,14 @@ func (s *Simulator) appTotalInsts(app int) uint64 {
 	return t
 }
 
+// settlePartitions credits every sleeping partition's slept cycles up to
+// the current memory cycle; the partitions keep sleeping.
+func (s *Simulator) settlePartitions() {
+	for _, p := range s.partitions {
+		p.Settle(s.memCycle)
+	}
+}
+
 // newWindow rolls every windowed counter in the machine.
 func (s *Simulator) newWindow() {
 	for _, c := range s.cores {
@@ -171,11 +179,13 @@ func (s *Simulator) snapshot() []appSnapshot {
 }
 
 // snapshotInto fills dst (grown if needed) with per-app lifetime totals,
-// settling fast-forwarded idle counters first so Total() reads are exact.
+// settling fast-forwarded and slept counters first so Total() reads are
+// exact.
 func (s *Simulator) snapshotInto(dst []appSnapshot) []appSnapshot {
 	for ci := range s.cores {
 		s.creditQuiet(ci, s.cycle)
 	}
+	s.settlePartitions()
 	numApps := len(s.opts.Apps)
 	if cap(dst) < numApps {
 		dst = make([]appSnapshot, numApps)
